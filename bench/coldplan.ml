@@ -15,7 +15,7 @@
              (exit 1 otherwise) — the CI regression guard *)
 
 module Pipeline = Wa_core.Pipeline
-module Json = Wa_io.Json
+module Json = Wa_util.Json
 
 let stages =
   [

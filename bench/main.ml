@@ -147,12 +147,12 @@ let scaling_row n =
   let valid, validate_ms =
     timed (fun () -> Wa_core.Schedule.is_valid p ls sched)
   in
-  let fopt = function Some v -> Wa_io.Json.Float v | None -> Wa_io.Json.Null in
+  let fopt = function Some v -> Wa_util.Json.Float v | None -> Wa_util.Json.Null in
   let speedup =
     Option.map (fun (_, dense_ms) -> dense_ms /. indexed_ms) dense
   in
   let row_json =
-    Wa_io.Json.Obj
+    Wa_util.Json.Obj
       [
         ("n", Int n);
         ("links", Int (Wa_sinr.Linkset.size ls));
@@ -216,7 +216,7 @@ let run_scaling ~quick ~json_path =
      ms on\n%!"
     overhead_ns overhead_budget_ns plan_disabled_ms plan_enabled_ms;
   let doc =
-    Wa_io.Json.Obj
+    Wa_util.Json.Obj
       [
         ("benchmark", String "conflict-graph and validation scaling");
         ("engine_default", String "indexed");
@@ -232,7 +232,7 @@ let run_scaling ~quick ~json_path =
       ]
   in
   let oc = open_out json_path in
-  output_string oc (Wa_io.Json.to_string doc);
+  output_string oc (Wa_util.Json.to_string doc);
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n%!" json_path;
@@ -295,7 +295,7 @@ let run_audit_bench ~quick ~json_path =
     (plan_audit_ms /. plan_ms)
     (List.length checks) violations;
   let doc =
-    Wa_io.Json.Obj
+    Wa_util.Json.Obj
       [
         ("benchmark", String "pipeline audit overhead");
         ("deployment", String "uniform square, side 1000, seed 42, MST links");
@@ -312,11 +312,11 @@ let run_audit_bench ~quick ~json_path =
           Obj
             ((* Total spans across both runs; divide by the run count
                 for a per-run figure. *)
-             List.map (fun c -> (c, Wa_io.Json.Float (check_ms c))) checks) );
+             List.map (fun c -> (c, Wa_util.Json.Float (check_ms c))) checks) );
       ]
   in
   let oc = open_out json_path in
-  output_string oc (Wa_io.Json.to_string doc);
+  output_string oc (Wa_util.Json.to_string doc);
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n%!" json_path;

@@ -240,7 +240,7 @@ let run_plan seed n side deploy power alpha beta json dot points_in audit tel =
   Option.iter
     (fun path ->
       Wa_io.Export.write_string path
-        (Wa_io.Json.to_string (Wa_io.Export.plan_to_json plan));
+        (Wa_util.Json.to_string (Wa_io.Export.plan_to_json plan));
       Printf.printf "wrote JSON to %s\n" path)
     json;
   Option.iter

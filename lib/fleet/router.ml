@@ -310,74 +310,6 @@ let request_dial t b =
     Mutex.unlock t.dial_mu
   end
 
-(* Line splicing --------------------------------------------------------- *)
-
-let line_prefix = "{\"v\":1,\"id\":"
-let line_prefix_len = String.length line_prefix
-
-(* [Some (id, tail)] when the line has the canonical encoder prefix;
-   [tail] starts at the character after the id digits. *)
-let split_id line =
-  let n = String.length line in
-  if n > line_prefix_len && String.sub line 0 line_prefix_len = line_prefix
-  then begin
-    let i = ref line_prefix_len in
-    let id = ref 0 in
-    let digits = ref false in
-    let continue = ref true in
-    while !continue && !i < n do
-      match line.[!i] with
-      | '0' .. '9' as c ->
-          id := (!id * 10) + (Char.code c - Char.code '0');
-          digits := true;
-          incr i
-      | _ -> continue := false
-    done;
-    if !digits && !i < n then Some (!id, String.sub line !i (n - !i))
-    else None
-  end
-  else None
-
-(* Positional variant for the response path: no tail substring is
-   built — responses carry whole plans, so the copy is kilobytes per
-   forward.  [Some (id, pos)] with [pos] the offset of the character
-   after the id digits. *)
-let split_id_pos line =
-  let n = String.length line in
-  if n > line_prefix_len && String.sub line 0 line_prefix_len = line_prefix
-  then begin
-    let i = ref line_prefix_len in
-    let id = ref 0 in
-    let digits = ref false in
-    let continue = ref true in
-    while !continue && !i < n do
-      match line.[!i] with
-      | '0' .. '9' as c ->
-          id := (!id * 10) + (Char.code c - Char.code '0');
-          digits := true;
-          incr i
-      | _ -> continue := false
-    done;
-    if !digits && !i < n then Some (!id, !i) else None
-  end
-  else None
-
-let splice_id id tail = line_prefix ^ string_of_int id ^ tail
-
-(* Responses begin [{"v":1,"id":N,"ok":...]; a byte test classifies
-   success without a JSON parse. *)
-let ok_marker = ",\"ok\":true"
-let ok_marker_len = String.length ok_marker
-
-(* Test the marker at [pos] inside the full line — no tail substring
-   is ever built on the response path. *)
-let ok_at line pos =
-  let n = String.length line in
-  pos + ok_marker_len <= n
-  &&
-  let rec eq i = i = ok_marker_len || (line.[pos + i] = ok_marker.[i] && eq (i + 1)) in
-  eq 0
-
 (* Client-side sends ----------------------------------------------------- *)
 
 let send_client t conn line =
@@ -389,8 +321,7 @@ let send_client t conn line =
    in, without building the spliced string. *)
 let send_client_spliced t conn ~id line pos =
   ignore
-    (E.send_spliced_nf conn.c_ep (line_prefix ^ string_of_int id) line pos
-      : bool);
+    (E.send_spliced_nf conn.c_ep (P.id_prefix id) line pos : bool);
   t.n_responses <- t.n_responses + 1;
   Metrics.incr t.c_responses
 
@@ -470,7 +401,7 @@ let rec forward t creq b =
       let rid = fresh_rid t in
       let line =
         match creq.cr_tail with
-        | Some tail -> splice_id rid tail
+        | Some tail -> P.id_prefix rid ^ tail
         | None -> (
             match creq.cr_req with
             | Some r -> P.request_to_line { r with P.id = rid }
@@ -817,7 +748,7 @@ let handle_decoded t conn line_tail (r : P.request) =
 
 let reject_draining t conn line =
   let id =
-    match split_id line with Some (id, _) -> id | None -> P.id_of_line line
+    match P.split_id line with Some (id, _) -> id | None -> P.id_of_line line
   in
   send_client_resp t conn (P.error ~id P.Shutting_down "router is draining")
 
@@ -828,7 +759,11 @@ let handle_client_line t conn line =
     if Mutex.protect t.state_mu (fun () -> t.draining) then
       reject_draining t conn line
     else
-      let split = split_id line in
+      let split =
+        Option.map
+          (fun (id, pos) -> (id, String.sub line pos (String.length line - pos)))
+          (P.split_id line)
+      in
       let memo_hit =
         match split with
         | Some (_, tail) -> Hashtbl.find_opt t.memo tail
@@ -858,15 +793,7 @@ let handle_client_line t conn line =
           | _ -> route_keyed t creq)
       | _ -> (
           match P.request_of_line line with
-          | Error msg ->
-              let code =
-                if
-                  String.length msg >= 20
-                  && String.sub msg 0 20 = "unsupported protocol"
-                then P.Bad_version
-                else P.Bad_request
-              in
-              send_client_resp t conn (P.error ~id:(P.id_of_line line) code msg)
+          | Error msg -> send_client_resp t conn (P.undecodable ~line msg)
           | Ok r -> handle_decoded t conn (Option.map snd split) r)
   end
 
@@ -876,7 +803,7 @@ let handle_client_entry t creq b ~pos line =
   b.b_inflight <- b.b_inflight - 1;
   b.b_consec_failures <- 0;
   observe_backend b ((Unix.gettimeofday () -. creq.cr_started) *. 1000.0);
-  if ok_at line pos then
+  if P.ok_at line pos then
     match creq.cr_class with
     | Plan_like | Peek_forward ->
         (* Splice the client's id back in front of the raw tail —
@@ -981,7 +908,7 @@ let dispatch_entry t entry ~pos line =
   | Fanout_part (fo, b, _) -> handle_fanout_part t fo b line
 
 let handle_backend_line t line =
-  match split_id_pos line with
+  match P.split_id line with
   | Some (rid, pos) -> (
       match Hashtbl.find_opt t.pending rid with
       | Some entry ->
@@ -998,7 +925,7 @@ let handle_backend_line t line =
               Hashtbl.remove t.pending resp.P.rid;
               let line' = P.response_to_line resp in
               let pos =
-                match split_id_pos line' with
+                match P.split_id line' with
                 | Some (_, p) -> p
                 | None -> String.length line'
               in

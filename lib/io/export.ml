@@ -1,3 +1,4 @@
+module Json = Wa_util.Json
 module Pointset = Wa_geom.Pointset
 module Vec2 = Wa_geom.Vec2
 module Linkset = Wa_sinr.Linkset

@@ -191,14 +191,10 @@ let warm_count t =
 (* Inline cached-plan fast path ------------------------------------------ *)
 
 (* The response line of a cached plan is identical across requests
-   except for the id, and the encoder's field order makes the line
-   begin with exactly [{"v":1,"id":<id>].  Memoize everything after
-   the id once per cache fill and serve hits by splicing the id in
-   front of the stored tail — one cache probe, one memo probe, one
-   string concat; cheap enough for the server's event loop. *)
-
-let memo_prefix = "{\"v\":1,\"id\":"
-let memo_prefix_len = String.length memo_prefix
+   except for the id.  Memoize everything after the id once per cache
+   fill and serve hits by splicing the id prefix in front of the
+   stored tail — one cache probe, one memo probe, one string concat;
+   cheap enough for the server's event loop. *)
 
 let cached_plan_line t (spec : P.plan_spec) ~id =
   if spec.P.no_cache then None
@@ -216,25 +212,18 @@ let cached_plan_line t (spec : P.plan_spec) ~id =
         let tail = Hashtbl.find_opt t.line_memo key in
         Mutex.unlock t.warm_mu;
         match tail with
-        | Some tail -> Some (memo_prefix ^ string_of_int id ^ tail)
+        | Some tail -> Some (P.id_prefix id ^ tail)
         | None ->
             let body = P.Plan_r (plan_summary plan ~cached:true ~compute_ms:0.0) in
-            let line = P.response_to_line { P.rid = 0; body; rtrace = None } in
-            if
-              String.length line > memo_prefix_len + 1
-              && String.sub line 0 memo_prefix_len = memo_prefix
-              && line.[memo_prefix_len] = '0'
-            then begin
-              let tail =
-                String.sub line (memo_prefix_len + 1)
-                  (String.length line - memo_prefix_len - 1)
-              in
-              Mutex.lock t.warm_mu;
-              Hashtbl.replace t.line_memo key tail;
-              Mutex.unlock t.warm_mu;
-              Some (memo_prefix ^ string_of_int id ^ tail)
-            end
-            else Some (P.response_to_line { P.rid = id; body; rtrace = None }))
+            let line = P.response_to_line { P.rid = id; body; rtrace = None } in
+            (match P.split_id line with
+            | Some (_, pos) ->
+                let tail = String.sub line pos (String.length line - pos) in
+                Mutex.lock t.warm_mu;
+                Hashtbl.replace t.line_memo key tail;
+                Mutex.unlock t.warm_mu
+            | None -> ());
+            Some line)
 
 let no_such_session session =
   err P.No_such_session (Printf.sprintf "no session %d" session)

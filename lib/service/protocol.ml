@@ -3,6 +3,207 @@ module Vec2 = Wa_geom.Vec2
 
 let version = 1
 
+(* Codec combinator ------------------------------------------------------ *)
+
+(* A codec is the one description of a wire value, read in both
+   directions: [dec (enc v)] gives back [v] because both halves are
+   built from the same declarations, not kept in step by hand. *)
+type 'a codec = { enc : 'a -> Json.t; dec : Json.t -> ('a, string) result }
+
+let ( let* ) = Result.bind
+
+let scalar what to_json of_json =
+  {
+    enc = to_json;
+    dec =
+      (fun j ->
+        match of_json j with Some v -> Ok v | None -> Error ("expected " ^ what));
+  }
+
+let int = scalar "an integer" (fun i -> Json.Int i) Json.to_int_opt
+let string = scalar "a string" (fun s -> Json.String s) Json.to_string_opt
+
+let bool =
+  scalar "a boolean" (fun b -> Json.Bool b) (function
+    | Json.Bool b -> Some b
+    | _ -> None)
+
+let number = scalar "a number" (fun f -> Json.Float f) Json.to_float_opt
+
+(* Request parameters must be finite: the parser reads the printer's
+   own infinity literal [1e999] back as infinity. *)
+let finite =
+  scalar "a finite number" (fun f -> Json.Float f) (fun j ->
+      match Json.to_float_opt j with
+      | Some f when Float.is_finite f -> Some f
+      | _ -> None)
+
+(* Response statistics may be nan (mean latency over zero delivered
+   frames, an empty latency window); the printer writes nan as null. *)
+let stat_float =
+  { number with dec = (function Json.Null -> Ok Float.nan | j -> number.dec j) }
+
+(* Written as null; anything is accepted back. *)
+let null = { enc = (fun () -> Json.Null); dec = (fun _ -> Ok ()) }
+
+let conv to_wire of_wire c =
+  { enc = (fun v -> c.enc (to_wire v)); dec = (fun j -> Result.bind (c.dec j) of_wire) }
+
+let positive =
+  conv Fun.id (fun n -> if n > 0 then Ok n else Error "expected a positive integer") int
+
+let list c =
+  {
+    enc = (fun xs -> Json.List (List.map c.enc xs));
+    dec =
+      (function
+      | Json.List items ->
+          let rec go acc = function
+            | [] -> Ok (List.rev acc)
+            | x :: rest ->
+                let* v = c.dec x in
+                go (v :: acc) rest
+          in
+          go [] items
+      | _ -> Error "expected an array");
+  }
+
+(* String enumerations: a table of wire names, read both ways. *)
+let name_of table v = fst (List.find (fun (_, v') -> v' = v) table)
+
+let lookup what table s =
+  match List.assoc_opt s table with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "unknown %s: %s" what s)
+
+let enum what table = conv (name_of table) (lookup what table) string
+
+(* Objects.  A member list under construction is a [('o, 'k) fields]:
+   [write] puts the members declared so far in front of the members
+   that follow, and [read] yields the constructor ['k] applied to them.
+   Members are declared once, in wire order, and are of three kinds:
+   required ([req]), optional and omitted when unset ([opt], [flag]),
+   or always written but defaulted when absent ([dflt]).  The
+   constructor receives them by position, so it must take its
+   arguments in that same order; between members of one type only the
+   round-trip tests would notice a swap. *)
+
+type ('o, 'k) fields = {
+  write : 'o -> (string * Json.t) list -> (string * Json.t) list;
+  read : Json.t -> ('k, string) result;
+}
+
+let fields make = { write = (fun _ rest -> rest); read = (fun _ -> Ok make) }
+
+(* Read member [name] with [dec]; [absent] is the answer when the
+   member is missing.  A decode error names the member. *)
+let member name dec ~absent j =
+  match Json.member name j with
+  | None -> absent
+  | Some v -> (
+      match dec v with
+      | Ok _ as ok -> ok
+      | Error e -> Error (Printf.sprintf "field %S: %s" name e))
+
+let missing name = Error (Printf.sprintf "missing field %S" name)
+let some c v = Result.map Option.some (c.dec v)
+
+let add write_one read_one o =
+  {
+    write = (fun v rest -> o.write v (write_one v rest));
+    read =
+      (fun j ->
+        let* k = o.read j in
+        let* x = read_one j in
+        Ok (k x));
+  }
+
+let req name c get =
+  add
+    (fun v rest -> (name, c.enc (get v)) :: rest)
+    (member name c.dec ~absent:(missing name))
+
+let opt name c get =
+  add
+    (fun v rest -> match get v with None -> rest | Some x -> (name, c.enc x) :: rest)
+    (member name (some c) ~absent:(Ok None))
+
+let flag name get =
+  add
+    (fun v rest -> if get v then (name, Json.Bool true) :: rest else rest)
+    (member name bool.dec ~absent:(Ok false))
+
+let dflt name c ~default get =
+  add
+    (fun v rest -> (name, c.enc (get v)) :: rest)
+    (member name c.dec ~absent:(Ok default))
+
+(* Always written, [None] as null.  Only the canonical spec uses it. *)
+let nullable name c get =
+  add
+    (fun v rest ->
+      (name, match get v with None -> Json.Null | Some x -> c.enc x) :: rest)
+    (member name (function Json.Null -> Ok None | v -> some c v) ~absent:(Ok None))
+
+(* Splice another member list into this object. *)
+let inline inner get = add (fun v rest -> inner.write (get v) rest) inner.read
+
+let obj o =
+  {
+    enc = (fun v -> Json.Obj (o.write v []));
+    dec = (function Json.Obj _ as j -> o.read j | _ -> Error "expected an object");
+  }
+
+let one name c = fields Fun.id |> req name c Fun.id
+
+(* Variants.  A case names its tag, its members, and how its payload
+   goes into and comes out of the variant; [tagged] writes the tag
+   under [key] ahead of the chosen case's members. *)
+
+type ('t, 'a) case =
+  | Case : {
+      tag : 't;
+      body : ('b, 'b) fields;
+      inj : 'b -> 'a;
+      proj : 'a -> 'b option;
+    }
+      -> ('t, 'a) case
+
+let case tag body inj proj = Case { tag; body; inj; proj }
+
+(* A constant constructor; [body] defaults to no members. *)
+let const ?(body = fields ()) tag v =
+  case tag body (fun () -> v) (fun x -> if x = v then Some () else None)
+
+let tagged ?default key tag cases =
+  let write v rest =
+    let rec go = function
+      | [] -> invalid_arg ("Protocol: no case for this " ^ key)
+      | Case c :: others -> (
+          match c.proj v with
+          | Some b -> (key, tag.enc c.tag) :: c.body.write b rest
+          | None -> go others)
+    in
+    go cases
+  in
+  let read_tag =
+    member key tag.dec
+      ~absent:(match default with Some d -> Ok d | None -> missing key)
+  in
+  let read j =
+    let* t = read_tag j in
+    let rec go = function
+      | [] ->
+          Error
+            (Printf.sprintf "unknown %s %s" key
+               (Json.to_string ~pretty:false (tag.enc t)))
+      | Case c :: others ->
+          if c.tag = t then Result.map c.inj (c.body.read j) else go others
+    in
+    go cases
+  in
+  { write; read }
+
 (* Types ---------------------------------------------------------------- *)
 
 type deploy_spec =
@@ -231,7 +432,7 @@ type response = {
 let error ?shard ~id code message =
   { rid = id; body = Error { code; message; shard }; rtrace = None }
 
-(* Scalar codecs -------------------------------------------------------- *)
+(* Scalars of the protocol ----------------------------------------------- *)
 
 let power_to_string = function
   | `Global -> "global"
@@ -239,6 +440,7 @@ let power_to_string = function
   | `Linear -> "linear"
   | `Oblivious tau -> Printf.sprintf "oblivious:%.17g" tau
 
+(* The range test also turns away a non-finite tau. *)
 let power_of_string s =
   match String.lowercase_ascii s with
   | "global" -> Ok `Global
@@ -250,882 +452,498 @@ let power_of_string s =
       | _ -> Error "oblivious tau must lie strictly in (0,1)")
   | _ -> Error ("unknown power mode: " ^ s)
 
-let engine_to_string = function `Indexed -> "indexed" | `Dense -> "dense"
+let power = conv power_to_string power_of_string string
+let engines = [ ("indexed", `Indexed); ("dense", `Dense) ]
+let engine_to_string e = name_of engines e
+let engine_of_string s = lookup "engine" engines s
 
-let engine_of_string = function
-  | "indexed" -> Ok `Indexed
-  | "dense" -> Ok `Dense
-  | s -> Error ("unknown engine: " ^ s)
-
-let error_code_to_string = function
-  | Bad_request -> "bad_request"
-  | Bad_version -> "bad_version"
-  | Overloaded -> "overloaded"
-  | Deadline_exceeded -> "deadline_exceeded"
-  | No_such_session -> "no_such_session"
-  | Shutting_down -> "shutting_down"
-  | Internal -> "internal"
-
-let error_code_of_string = function
-  | "bad_request" -> Ok Bad_request
-  | "bad_version" -> Ok Bad_version
-  | "overloaded" -> Ok Overloaded
-  | "deadline_exceeded" -> Ok Deadline_exceeded
-  | "no_such_session" -> Ok No_such_session
-  | "shutting_down" -> Ok Shutting_down
-  | "internal" -> Ok Internal
-  | s -> Error ("unknown error code: " ^ s)
-
-(* Encoding ------------------------------------------------------------- *)
-
-let vec2_json (v : Vec2.t) = Json.List [ Float v.Vec2.x; Float v.Vec2.y ]
-
-let deploy_json = function
-  | Points pts ->
-      Json.Obj [ ("points", Json.List (Array.to_list (Array.map vec2_json pts))) ]
-  | Generate { kind; n; seed; side } ->
-      Json.Obj
-        [
-          ("kind", String kind);
-          ("n", Int n);
-          ("seed", Int seed);
-          ("side", Float side);
-        ]
-
-(* The canonical form hashed into the cache key: every parameter that
-   influences the resulting plan, in a fixed field order, with [gamma]
-   explicit even when defaulted.  [no_cache] is deliberately absent —
-   it steers the cache, it does not change the plan. *)
-let spec_canonical_json spec =
-  Json.Obj
-    [
-      ("deploy", deploy_json spec.deploy);
-      ("power", String (power_to_string spec.power));
-      ("alpha", Float spec.alpha);
-      ("beta", Float spec.beta);
-      ("gamma", match spec.gamma with None -> Json.Null | Some g -> Float g);
-      ("engine", String (engine_to_string spec.engine));
-    ]
-
-let opt_field name v fields =
-  match v with None -> fields | Some j -> (name, j) :: fields
-
-let spec_fields spec =
+let error_codes =
   [
-    ("deploy", deploy_json spec.deploy);
-    ("power", Json.String (power_to_string spec.power));
-    ("alpha", Json.Float spec.alpha);
-    ("beta", Json.Float spec.beta);
+    ("bad_request", Bad_request);
+    ("bad_version", Bad_version);
+    ("overloaded", Overloaded);
+    ("deadline_exceeded", Deadline_exceeded);
+    ("no_such_session", No_such_session);
+    ("shutting_down", Shutting_down);
+    ("internal", Internal);
   ]
-  @ (match spec.gamma with None -> [] | Some g -> [ ("gamma", Json.Float g) ])
-  @ [ ("engine", Json.String (engine_to_string spec.engine)) ]
-  @ (if spec.no_cache then [ ("no_cache", Json.Bool true) ] else [])
 
-let encode_request { id; deadline_ms; trace; body } =
-  let op name fields =
-    Json.Obj
-      (( [ ("v", Json.Int version); ("id", Json.Int id) ]
-       |> opt_field "deadline_ms" (Option.map (fun d -> Json.Float d) deadline_ms)
-       |> opt_field "trace" (if trace then Some (Json.Bool true) else None))
-      @ (("op", Json.String name) :: fields))
+let error_code_to_string c = name_of error_codes c
+
+(* The one version check: [Some n] when a message names a version
+   other than ours.  An absent ["v"] means version 1. *)
+let foreign_version j =
+  match Json.to_int_opt j with Some n when n <> version -> Some n | _ -> None
+
+let unsupported_version n = Printf.sprintf "unsupported protocol version %d" n
+
+let version_field o =
+  dflt "v"
+    {
+      enc = (fun () -> Json.Int version);
+      dec =
+        (fun j ->
+          match foreign_version j with
+          | Some n -> Error (unsupported_version n)
+          | None -> Result.map ignore (int.dec j));
+    }
+    ~default:() ignore o
+
+let vec2 =
+  {
+    enc = (fun (v : Vec2.t) -> Json.List [ Float v.Vec2.x; Float v.Vec2.y ]);
+    dec =
+      (function
+      | Json.List [ x; y ] ->
+          let* x = finite.dec x in
+          let* y = finite.dec y in
+          Ok (Vec2.make x y)
+      | _ -> Error "a point is a two-element array [x, y]");
+  }
+
+(* Requests -------------------------------------------------------------- *)
+
+let deploy =
+  let points =
+    one "points"
+      (conv Array.to_list
+         (function [] -> Error "must be non-empty" | pts -> Ok (Array.of_list pts))
+         (list vec2))
   in
-  match body with
-  | Ping -> op "ping" []
-  | Plan spec -> op "plan" (spec_fields spec)
-  | Describe spec -> op "describe" (spec_fields spec)
-  | Simulate { spec; periods } ->
-      op "simulate" (spec_fields spec @ [ ("periods", Json.Int periods) ])
-  | Churn_create { sink; power; alpha; beta; gamma } ->
-      op "churn_create"
-        ([
-           ("sink", vec2_json sink);
-           ("power", Json.String (power_to_string power));
-           ("alpha", Json.Float alpha);
-           ("beta", Json.Float beta);
-         ]
-        @ (match gamma with None -> [] | Some g -> [ ("gamma", Json.Float g) ]))
-  | Churn_add { session; point } ->
-      op "churn_add" [ ("session", Json.Int session); ("point", vec2_json point) ]
-  | Churn_remove { session; node } ->
-      op "churn_remove" [ ("session", Json.Int session); ("node", Json.Int node) ]
-  | Churn_info { session } -> op "churn_info" [ ("session", Json.Int session) ]
-  | Churn_close { session } -> op "churn_close" [ ("session", Json.Int session) ]
-  | Stats -> op "stats" []
-  | Telemetry -> op "telemetry" []
-  | Shutdown -> op "shutdown" []
-  | Cache_peek { key } -> op "cache_peek" [ ("key", Json.String key) ]
-  | Cache_advertise { origin; invalidate; keys } ->
-      op "cache_advertise"
-        ([ ("origin", Json.String origin) ]
-        @ (if invalidate then [ ("invalidate", Json.Bool true) ] else [])
-        @ [ ("keys", Json.List (List.map (fun k -> Json.String k) keys)) ])
-
-let plan_summary_json (p : plan_summary) =
-  Json.Obj
-    [
-      ("nodes", Int p.nodes);
-      ("links", Int p.links);
-      ("slots", Int p.slots);
-      ("rate", Float p.rate);
-      ("raw_colors", Int p.raw_colors);
-      ("repair_added", Int p.repair_added);
-      ("valid", Bool p.plan_valid);
-      ("point_diversity", Float p.point_diversity);
-      ("link_diversity", Float p.link_diversity);
-      ("description", String p.description);
-      ("cached", Bool p.cached);
-      ("compute_ms", Float p.compute_ms);
-    ]
-
-let sim_summary_json (s : sim_summary) =
-  Json.Obj
-    [
-      ("slots", Int s.sim_slots);
-      ("frames_generated", Int s.frames_generated);
-      ("frames_delivered", Int s.frames_delivered);
-      ("achieved_rate", Float s.achieved_rate);
-      ("steady_rate", Float s.steady_rate);
-      ("mean_latency", Float s.mean_latency);
-      ("max_latency", Int s.max_latency);
-      ("max_buffer", Int s.max_buffer);
-      ("aggregates_correct", Bool s.aggregates_correct);
-      ("violations", Int s.violations);
-      ("idle_slots", Int s.idle_slots);
-      ("plan_cached", Bool s.plan_cached);
-    ]
-
-let churn_summary_json (c : churn_summary) =
-  Json.Obj
-    ([ ("session", Json.Int c.session) ]
-    @ (match c.node with None -> [] | Some n -> [ ("node", Json.Int n) ])
-    @ [
-        ("links_total", Json.Int c.links_total);
-        ("links_kept", Json.Int c.links_kept);
-        ("links_recolored", Json.Int c.links_recolored);
-        ("slots", Json.Int c.churn_slots);
-        ("recompute_slots", Json.Int c.recompute_slots);
-      ])
-
-let trace_span_json (s : trace_span) =
-  Json.Obj
-    [
-      ("name", Json.String s.t_name);
-      ("start_ns", Json.Int s.t_start_ns);
-      ("dur_ns", Json.Int s.t_dur_ns);
-      ("depth", Json.Int s.t_depth);
-    ]
-
-let cache_summary_json (c : cache_summary) =
-  Json.Obj
-    [
-      ("entries", Json.Int c.cs_entries);
-      ("bytes", Json.Int c.cs_bytes);
-      ("hits", Json.Int c.cs_hits);
-      ("misses", Json.Int c.cs_misses);
-      ("coalesced", Json.Int c.cs_coalesced);
-      ("evictions", Json.Int c.cs_evictions);
-    ]
-
-let stats_summary_json (s : stats_summary) =
-  Json.Obj
-    [
-      ("requests", Json.Int s.st_requests);
-      ("responses", Json.Int s.st_responses);
-      ("overloaded", Json.Int s.st_overloaded);
-      ("deadline_misses", Json.Int s.st_deadline_misses);
-      ("inflight_peak", Json.Int s.st_inflight_peak);
-      ("draining", Json.Bool s.st_draining);
-      ("workers", Json.Int s.st_workers);
-      ("queue_depth", Json.Int s.st_queue_depth);
-      ("queue_capacity", Json.Int s.st_queue_capacity);
-      ("in_flight", Json.Int s.st_in_flight);
-      ("cache", cache_summary_json s.st_cache);
-      ("sessions", Json.Int s.st_sessions);
-    ]
-
-let op_latency_json (o : op_latency) =
-  Json.Obj
-    [
-      ("op", Json.String o.ol_op);
-      ("count", Json.Int o.ol_count);
-      ("p50_ms", Json.Float o.ol_p50_ms);
-      ("p90_ms", Json.Float o.ol_p90_ms);
-      ("p99_ms", Json.Float o.ol_p99_ms);
-      ("max_ms", Json.Float o.ol_max_ms);
-    ]
-
-let exemplar_json (e : exemplar) =
-  Json.Obj
-    [
-      ("op", Json.String e.ex_op);
-      ("id", Json.Int e.ex_id);
-      ("ms", Json.Float e.ex_ms);
-    ]
-
-let backend_row_json (b : backend_row) =
-  Json.Obj
-    [
-      ("name", Json.String b.be_name);
-      ("healthy", Json.Bool b.be_healthy);
-      ("draining", Json.Bool b.be_draining);
-      ("queue_depth", Json.Int b.be_queue_depth);
-      ("in_flight", Json.Int b.be_in_flight);
-      ("requests", Json.Int b.be_requests);
-      ("failures", Json.Int b.be_failures);
-      ("hit_ratio", Json.Float b.be_hit_ratio);
-      ("p50_ms", Json.Float b.be_p50_ms);
-      ("p99_ms", Json.Float b.be_p99_ms);
-    ]
-
-let fleet_summary_json (f : fleet_summary) =
-  Json.Obj
-    [
-      ("backends", Json.List (List.map backend_row_json f.fl_backends));
-      ("rerouted", Json.Int f.fl_rerouted);
-      ("peek_hits", Json.Int f.fl_peek_hits);
-      ("gossip_keys", Json.Int f.fl_gossip_keys);
-    ]
-
-let telemetry_summary_json (t : telemetry_summary) =
-  Json.Obj
-    ([
-       ("uptime_s", Json.Float t.tel_uptime_s);
-       ("window_s", Json.Float t.tel_window_s);
-       ("windows", Json.Int t.tel_windows);
-       ("in_flight", Json.Int t.tel_in_flight);
-       ("queue_depth", Json.Int t.tel_queue_depth);
-       ("ops", Json.List (List.map op_latency_json t.tel_ops));
-       ("cache", cache_summary_json t.tel_cache);
-       ("sessions", Json.Int t.tel_sessions);
-       ("exemplars", Json.List (List.map exemplar_json t.tel_exemplars));
-       ( "gc",
-         Json.Obj
-           [
-             ("heap_words", Json.Int t.tel_gc.gc_heap_words);
-             ("minor_collections", Json.Int t.tel_gc.gc_minor_collections);
-             ("major_collections", Json.Int t.tel_gc.gc_major_collections);
-             ("compactions", Json.Int t.tel_gc.gc_compactions);
-           ] );
-     ]
-    @
-    match t.tel_fleet with
-    | None -> []
-    | Some f -> [ ("fleet", fleet_summary_json f) ])
-
-let encode_response { rid; body; rtrace } =
-  let trace_field =
-    match rtrace with
-    | None -> []
-    | Some spans -> [ ("trace", Json.List (List.map trace_span_json spans)) ]
+  let generate =
+    fields (fun kind n seed side -> (kind, n, seed, side))
+    |> req "kind" string (fun (k, _, _, _) -> k)
+    |> req "n" positive (fun (_, n, _, _) -> n)
+    |> req "seed" int (fun (_, _, s, _) -> s)
+    |> dflt "side" finite ~default:1000.0 (fun (_, _, _, s) -> s)
   in
-  let ok op result =
-    Json.Obj
-      ([
-         ("v", Json.Int version);
-         ("id", Json.Int rid);
-         ("ok", Json.Bool true);
-         ("op", Json.String op);
-         ("result", result);
-       ]
-      @ trace_field)
-  in
-  match body with
-  | Pong -> ok "ping" Json.Null
-  | Plan_r p -> ok "plan" (plan_summary_json p)
-  | Describe_r d -> ok "describe" (Json.String d)
-  | Sim_r s -> ok "simulate" (sim_summary_json s)
-  | Churn_created session ->
-      ok "churn_create" (Json.Obj [ ("session", Int session) ])
-  | Churn_r c -> ok "churn" (churn_summary_json c)
-  | Session_r i ->
-      ok "churn_info"
-        (Json.Obj
-           [
-             ("session", Int i.info_session);
-             ("size", Int i.size);
-             ("slots", Int i.info_slots);
-             ("valid", Bool i.info_valid);
-           ])
-  | Churn_closed session ->
-      ok "churn_close" (Json.Obj [ ("session", Int session) ])
-  | Stats_r s -> ok "stats" (stats_summary_json s)
-  | Telemetry_r t -> ok "telemetry" (telemetry_summary_json t)
-  | Shutdown_ok -> ok "shutdown" Json.Null
-  | Cache_peek_r { present; origin } ->
-      ok "cache_peek"
-        (Json.Obj
-           ([ ("present", Json.Bool present) ]
-           @
-           match origin with
-           | None -> []
-           | Some o -> [ ("origin", Json.String o) ]))
-  | Advertise_ok accepted ->
-      ok "cache_advertise" (Json.Obj [ ("accepted", Int accepted) ])
-  | Error { code; message; shard } ->
-      Json.Obj
-        ([
-           ("v", Json.Int version);
-           ("id", Json.Int rid);
-           ("ok", Json.Bool false);
-           ( "error",
-             Json.Obj
-               ([
-                  ("code", Json.String (error_code_to_string code));
-                  ("message", Json.String message);
-                ]
-               @
-               match shard with
-               | None -> []
-               | Some s -> [ ("shard", Json.String s) ]) );
-         ]
-        @ trace_field)
-
-(* Decoding ------------------------------------------------------------- *)
-
-let ( let* ) = Result.bind
-
-let field name json =
-  match Json.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field name json =
-  let* v = field name json in
-  match Json.to_int_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S must be an integer" name)
-
-let float_field name json =
-  let* v = field name json in
-  match Json.to_float_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S must be a number" name)
-
-let string_field name json =
-  let* v = field name json in
-  match Json.to_string_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S must be a string" name)
-
-let opt_float_field name json =
-  match Json.member name json with
-  | None -> Ok None
-  | Some v -> (
-      match Json.to_float_opt v with
-      | Some f -> Ok (Some f)
-      | None -> Error (Printf.sprintf "field %S must be a number" name))
-
-let default_float name ~default json =
-  let* v = opt_float_field name json in
-  Ok (Option.value ~default v)
-
-let bool_field_default name ~default json =
-  match Json.member name json with
-  | None -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field %S must be a boolean" name)
-
-let vec2_of_json = function
-  | Json.List [ x; y ] -> (
-      match (Json.to_float_opt x, Json.to_float_opt y) with
-      | Some x, Some y -> Ok (Vec2.make x y)
-      | _ -> Error "point coordinates must be numbers")
-  | _ -> Error "a point is a two-element array [x, y]"
-
-let decode_deploy json =
-  let* d = field "deploy" json in
-  match Json.member "points" d with
-  | Some (Json.List []) -> Error "deploy.points must be non-empty"
-  | Some (Json.List pts) ->
-        let rec go acc = function
-          | [] -> Ok (Points (Array.of_list (List.rev acc)))
-          | p :: rest ->
-              let* v = vec2_of_json p in
-              go (v :: acc) rest
-        in
-        go [] pts
-  | Some _ -> Error "deploy.points must be an array"
-  | None ->
-      let* kind = string_field "kind" d in
-      let* n = int_field "n" d in
-      let* seed = int_field "seed" d in
-      let* side = default_float "side" ~default:1000.0 d in
-      if n < 1 then Error "deploy.n must be positive"
-      else Ok (Generate { kind; n; seed; side })
+  (* Untagged: the presence of ["points"] picks the case. *)
+  obj
+    {
+      write =
+        (fun d rest ->
+          match d with
+          | Points pts -> points.write pts rest
+          | Generate { kind; n; seed; side } ->
+              generate.write (kind, n, seed, side) rest);
+      read =
+        (fun j ->
+          if Option.is_some (Json.member "points" j) then
+            Result.map (fun pts -> Points pts) (points.read j)
+          else
+            Result.map
+              (fun (kind, n, seed, side) -> Generate { kind; n; seed; side })
+              (generate.read j));
+    }
 
 let default_params = Wa_sinr.Params.default
+let alpha get = dflt "alpha" finite ~default:default_params.Wa_sinr.Params.alpha get
+let beta get = dflt "beta" finite ~default:default_params.Wa_sinr.Params.beta get
 
-let decode_power json =
-  let* s = string_field "power" json in
-  power_of_string s
+(* Every parameter that shapes the plan.  [gamma] is the member kind
+   for gamma: omitted when unset on the wire, explicit null in the
+   canonical form that the cache key hashes. *)
+let spec_members gamma =
+  fields (fun deploy power alpha beta gamma engine ->
+      { deploy; power; alpha; beta; gamma; engine; no_cache = false })
+  |> req "deploy" deploy (fun s -> s.deploy)
+  |> req "power" power (fun s -> s.power)
+  |> alpha (fun s -> s.alpha)
+  |> beta (fun s -> s.beta)
+  |> gamma "gamma" finite (fun s -> s.gamma)
+  |> dflt "engine" (enum "engine" engines) ~default:`Indexed (fun s -> s.engine)
 
-let decode_spec json =
-  let* deploy = decode_deploy json in
-  let* power = decode_power json in
-  let* alpha = default_float "alpha" ~default:default_params.Wa_sinr.Params.alpha json in
-  let* beta = default_float "beta" ~default:default_params.Wa_sinr.Params.beta json in
-  let* gamma = opt_float_field "gamma" json in
-  let* engine =
-    match Json.member "engine" json with
-    | None -> Ok `Indexed
-    | Some (Json.String s) -> engine_of_string s
-    | Some _ -> Error "field \"engine\" must be a string"
-  in
-  let* no_cache = bool_field_default "no_cache" ~default:false json in
-  Ok { deploy; power; alpha; beta; gamma; engine; no_cache }
+let canonical_spec = obj (spec_members nullable)
+let spec_canonical_json spec = canonical_spec.enc spec
 
-let decode_version json =
-  match Json.member "v" json with
-  | None -> Ok ()
-  | Some v -> (
-      match Json.to_int_opt v with
-      | Some n when n = version -> Ok ()
-      | Some n -> Error (Printf.sprintf "unsupported protocol version %d" n)
-      | None -> Error "field \"v\" must be an integer")
+let spec =
+  fields (fun s no_cache -> { s with no_cache })
+  |> inline (spec_members opt) Fun.id
+  |> flag "no_cache" (fun s -> s.no_cache)
 
-let decode_request json =
-  match json with
-  | Json.Obj _ ->
-      let* () = decode_version json in
-      let* id = int_field "id" json in
-      let* deadline_ms = opt_float_field "deadline_ms" json in
-      let* trace = bool_field_default "trace" ~default:false json in
-      let* op = string_field "op" json in
-      let* body =
-        match op with
-        | "ping" -> Ok Ping
-        | "plan" ->
-            let* spec = decode_spec json in
-            Ok (Plan spec)
-        | "describe" ->
-            let* spec = decode_spec json in
-            Ok (Describe spec)
-        | "simulate" ->
-            let* spec = decode_spec json in
-            let* periods =
-              match Json.member "periods" json with
-              | None -> Ok 50
-              | Some v -> (
-                  match Json.to_int_opt v with
-                  | Some p when p > 0 -> Ok p
-                  | Some _ -> Error "field \"periods\" must be positive"
-                  | None -> Error "field \"periods\" must be an integer")
-            in
-            Ok (Simulate { spec; periods })
-        | "churn_create" ->
-            let* sink =
-              let* s = field "sink" json in
-              vec2_of_json s
-            in
-            let* power = decode_power json in
-            let* alpha =
-              default_float "alpha" ~default:default_params.Wa_sinr.Params.alpha json
-            in
-            let* beta =
-              default_float "beta" ~default:default_params.Wa_sinr.Params.beta json
-            in
-            let* gamma = opt_float_field "gamma" json in
-            Ok (Churn_create { sink; power; alpha; beta; gamma })
-        | "churn_add" ->
-            let* session = int_field "session" json in
-            let* point =
-              let* p = field "point" json in
-              vec2_of_json p
-            in
-            Ok (Churn_add { session; point })
-        | "churn_remove" ->
-            let* session = int_field "session" json in
-            let* node = int_field "node" json in
-            Ok (Churn_remove { session; node })
-        | "churn_info" ->
-            let* session = int_field "session" json in
-            Ok (Churn_info { session })
-        | "churn_close" ->
-            let* session = int_field "session" json in
-            Ok (Churn_close { session })
-        | "stats" -> Ok Stats
-        | "telemetry" -> Ok Telemetry
-        | "shutdown" -> Ok Shutdown
-        | "cache_peek" ->
-            let* key = string_field "key" json in
-            Ok (Cache_peek { key })
-        | "cache_advertise" ->
-            let* origin = string_field "origin" json in
-            let* invalidate =
-              bool_field_default "invalidate" ~default:false json
-            in
-            let* keys =
-              match Json.member "keys" json with
-              | Some (Json.List ks) ->
-                  let rec go acc = function
-                    | [] -> Ok (List.rev acc)
-                    | Json.String k :: rest -> go (k :: acc) rest
-                    | _ -> Error "field \"keys\" must be an array of strings"
-                  in
-                  go [] ks
-              | Some _ -> Error "field \"keys\" must be an array of strings"
-              | None -> Error "missing field \"keys\""
-            in
-            Ok (Cache_advertise { origin; invalidate; keys })
-        | op -> Error ("unknown op: " ^ op)
-      in
-      Ok { id; deadline_ms; trace; body }
-  | _ -> Error "a request is a JSON object"
+let session = one "session" int
 
-let decode_plan_summary j =
-  let* nodes = int_field "nodes" j in
-  let* links = int_field "links" j in
-  let* slots = int_field "slots" j in
-  let* rate = float_field "rate" j in
-  let* raw_colors = int_field "raw_colors" j in
-  let* repair_added = int_field "repair_added" j in
-  let* plan_valid = bool_field_default "valid" ~default:false j in
-  let* point_diversity = float_field "point_diversity" j in
-  let* link_diversity = float_field "link_diversity" j in
-  let* description = string_field "description" j in
-  let* cached = bool_field_default "cached" ~default:false j in
-  let* compute_ms = float_field "compute_ms" j in
-  Ok
-    {
-      nodes;
-      links;
-      slots;
-      rate;
-      raw_colors;
-      repair_added;
-      plan_valid;
-      point_diversity;
-      link_diversity;
-      description;
-      cached;
-      compute_ms;
-    }
+let request_cases =
+  [
+    const "ping" Ping;
+    case "plan" spec (fun s -> Plan s) (function Plan s -> Some s | _ -> None);
+    case "describe" spec
+      (fun s -> Describe s)
+      (function Describe s -> Some s | _ -> None);
+    case "simulate"
+      (fields (fun spec periods -> (spec, periods))
+      |> inline spec fst
+      |> dflt "periods" positive ~default:50 snd)
+      (fun (spec, periods) -> Simulate { spec; periods })
+      (function Simulate { spec; periods } -> Some (spec, periods) | _ -> None);
+    case "churn_create"
+      (fields (fun sink power alpha beta gamma -> (sink, power, alpha, beta, gamma))
+      |> req "sink" vec2 (fun (s, _, _, _, _) -> s)
+      |> req "power" power (fun (_, p, _, _, _) -> p)
+      |> alpha (fun (_, _, a, _, _) -> a)
+      |> beta (fun (_, _, _, b, _) -> b)
+      |> opt "gamma" finite (fun (_, _, _, _, g) -> g))
+      (fun (sink, power, alpha, beta, gamma) ->
+        Churn_create { sink; power; alpha; beta; gamma })
+      (function
+        | Churn_create { sink; power; alpha; beta; gamma } ->
+            Some (sink, power, alpha, beta, gamma)
+        | _ -> None);
+    case "churn_add"
+      (fields (fun session point -> (session, point))
+      |> req "session" int fst
+      |> req "point" vec2 snd)
+      (fun (session, point) -> Churn_add { session; point })
+      (function Churn_add { session; point } -> Some (session, point) | _ -> None);
+    case "churn_remove"
+      (fields (fun session node -> (session, node))
+      |> req "session" int fst
+      |> req "node" int snd)
+      (fun (session, node) -> Churn_remove { session; node })
+      (function Churn_remove { session; node } -> Some (session, node) | _ -> None);
+    case "churn_info" session
+      (fun session -> Churn_info { session })
+      (function Churn_info { session } -> Some session | _ -> None);
+    case "churn_close" session
+      (fun session -> Churn_close { session })
+      (function Churn_close { session } -> Some session | _ -> None);
+    const "stats" Stats;
+    const "telemetry" Telemetry;
+    const "shutdown" Shutdown;
+    case "cache_peek" (one "key" string)
+      (fun key -> Cache_peek { key })
+      (function Cache_peek { key } -> Some key | _ -> None);
+    case "cache_advertise"
+      (fields (fun origin invalidate keys -> (origin, invalidate, keys))
+      |> req "origin" string (fun (o, _, _) -> o)
+      |> flag "invalidate" (fun (_, i, _) -> i)
+      |> req "keys" (list string) (fun (_, _, k) -> k))
+      (fun (origin, invalidate, keys) -> Cache_advertise { origin; invalidate; keys })
+      (function
+        | Cache_advertise { origin; invalidate; keys } -> Some (origin, invalidate, keys)
+        | _ -> None);
+  ]
 
-(* Simulator statistics may legitimately be NaN (e.g. mean latency
-   over zero delivered frames); the emitter prints NaN as [null], so
-   accept it back here. *)
-let stat_float_field name j =
-  match Json.member name j with
-  | Some Json.Null -> Ok Float.nan
-  | _ -> float_field name j
+(* [trace] and [deadline_ms] come first on the wire, so only a request
+   without them starts with the id prefix (see [split_id]). *)
+let request =
+  obj
+    (fields (fun trace deadline_ms () id body -> { id; deadline_ms; trace; body })
+    |> flag "trace" (fun (r : request) -> r.trace)
+    |> opt "deadline_ms" number (fun r -> r.deadline_ms)
+    |> version_field
+    |> req "id" int (fun r -> r.id)
+    |> inline (tagged "op" string request_cases) (fun (r : request) -> r.body))
 
-let decode_sim_summary j =
-  let* sim_slots = int_field "slots" j in
-  let* frames_generated = int_field "frames_generated" j in
-  let* frames_delivered = int_field "frames_delivered" j in
-  let* achieved_rate = stat_float_field "achieved_rate" j in
-  let* steady_rate = stat_float_field "steady_rate" j in
-  let* mean_latency = stat_float_field "mean_latency" j in
-  let* max_latency = int_field "max_latency" j in
-  let* max_buffer = int_field "max_buffer" j in
-  let* aggregates_correct = bool_field_default "aggregates_correct" ~default:false j in
-  let* violations = int_field "violations" j in
-  let* idle_slots = int_field "idle_slots" j in
-  let* plan_cached = bool_field_default "plan_cached" ~default:false j in
-  Ok
-    {
-      sim_slots;
-      frames_generated;
-      frames_delivered;
-      achieved_rate;
-      steady_rate;
-      mean_latency;
-      max_latency;
-      max_buffer;
-      aggregates_correct;
-      violations;
-      idle_slots;
-      plan_cached;
-    }
+(* Responses ------------------------------------------------------------- *)
 
-let decode_churn_summary j =
-  let* session = int_field "session" j in
-  let* node =
-    match Json.member "node" j with
-    | None -> Ok None
-    | Some v -> (
-        match Json.to_int_opt v with
-        | Some n -> Ok (Some n)
-        | None -> Error "field \"node\" must be an integer")
-  in
-  let* links_total = int_field "links_total" j in
-  let* links_kept = int_field "links_kept" j in
-  let* links_recolored = int_field "links_recolored" j in
-  let* churn_slots = int_field "slots" j in
-  let* recompute_slots = int_field "recompute_slots" j in
-  Ok
-    {
-      session;
-      node;
-      links_total;
-      links_kept;
-      links_recolored;
-      churn_slots;
-      recompute_slots;
-    }
+let plan_summary =
+  obj
+    (fields
+       (fun nodes links slots rate raw_colors repair_added plan_valid
+            point_diversity link_diversity description cached compute_ms ->
+         { nodes; links; slots; rate; raw_colors; repair_added; plan_valid;
+           point_diversity; link_diversity; description; cached; compute_ms })
+    |> req "nodes" int (fun p -> p.nodes)
+    |> req "links" int (fun p -> p.links)
+    |> req "slots" int (fun p -> p.slots)
+    |> req "rate" number (fun p -> p.rate)
+    |> req "raw_colors" int (fun p -> p.raw_colors)
+    |> req "repair_added" int (fun p -> p.repair_added)
+    |> dflt "valid" bool ~default:false (fun p -> p.plan_valid)
+    |> req "point_diversity" number (fun p -> p.point_diversity)
+    |> req "link_diversity" number (fun p -> p.link_diversity)
+    |> req "description" string (fun p -> p.description)
+    |> dflt "cached" bool ~default:false (fun p -> p.cached)
+    |> req "compute_ms" number (fun p -> p.compute_ms))
 
-let decode_trace_span j =
-  let* t_name = string_field "name" j in
-  let* t_start_ns = int_field "start_ns" j in
-  let* t_dur_ns = int_field "dur_ns" j in
-  let* t_depth = int_field "depth" j in
-  Ok { t_name; t_start_ns; t_dur_ns; t_depth }
+let sim_summary =
+  obj
+    (fields
+       (fun sim_slots frames_generated frames_delivered achieved_rate steady_rate
+            mean_latency max_latency max_buffer aggregates_correct violations
+            idle_slots plan_cached ->
+         { sim_slots; frames_generated; frames_delivered; achieved_rate;
+           steady_rate; mean_latency; max_latency; max_buffer; aggregates_correct;
+           violations; idle_slots; plan_cached })
+    |> req "slots" int (fun s -> s.sim_slots)
+    |> req "frames_generated" int (fun s -> s.frames_generated)
+    |> req "frames_delivered" int (fun s -> s.frames_delivered)
+    |> req "achieved_rate" stat_float (fun s -> s.achieved_rate)
+    |> req "steady_rate" stat_float (fun s -> s.steady_rate)
+    |> req "mean_latency" stat_float (fun s -> s.mean_latency)
+    |> req "max_latency" int (fun s -> s.max_latency)
+    |> req "max_buffer" int (fun s -> s.max_buffer)
+    |> dflt "aggregates_correct" bool ~default:false (fun s -> s.aggregates_correct)
+    |> req "violations" int (fun s -> s.violations)
+    |> req "idle_slots" int (fun s -> s.idle_slots)
+    |> dflt "plan_cached" bool ~default:false (fun s -> s.plan_cached))
 
-let decode_trace json =
-  match Json.member "trace" json with
-  | None -> Ok None
-  | Some (Json.List spans) ->
-      let rec go acc = function
-        | [] -> Ok (Some (List.rev acc))
-        | s :: rest ->
-            let* sp = decode_trace_span s in
-            go (sp :: acc) rest
-      in
-      go [] spans
-  | Some _ -> Error "field \"trace\" must be an array"
+let churn_summary =
+  obj
+    (fields
+       (fun session node links_total links_kept links_recolored churn_slots
+            recompute_slots ->
+         { session; node; links_total; links_kept; links_recolored; churn_slots;
+           recompute_slots })
+    |> req "session" int (fun (c : churn_summary) -> c.session)
+    |> opt "node" int (fun c -> c.node)
+    |> req "links_total" int (fun c -> c.links_total)
+    |> req "links_kept" int (fun c -> c.links_kept)
+    |> req "links_recolored" int (fun c -> c.links_recolored)
+    |> req "slots" int (fun c -> c.churn_slots)
+    |> req "recompute_slots" int (fun c -> c.recompute_slots))
 
-let decode_cache_summary j =
-  let* cs_entries = int_field "entries" j in
-  let* cs_bytes = int_field "bytes" j in
-  let* cs_hits = int_field "hits" j in
-  let* cs_misses = int_field "misses" j in
-  let* cs_coalesced = int_field "coalesced" j in
-  let* cs_evictions = int_field "evictions" j in
-  Ok { cs_entries; cs_bytes; cs_hits; cs_misses; cs_coalesced; cs_evictions }
+let session_info =
+  obj
+    (fields (fun info_session size info_slots info_valid ->
+         { info_session; size; info_slots; info_valid })
+    |> req "session" int (fun i -> i.info_session)
+    |> req "size" int (fun i -> i.size)
+    |> req "slots" int (fun i -> i.info_slots)
+    |> dflt "valid" bool ~default:false (fun i -> i.info_valid))
 
-let decode_stats_summary j =
-  let* st_requests = int_field "requests" j in
-  let* st_responses = int_field "responses" j in
-  let* st_overloaded = int_field "overloaded" j in
-  let* st_deadline_misses = int_field "deadline_misses" j in
-  let* st_inflight_peak = int_field "inflight_peak" j in
-  let* st_draining = bool_field_default "draining" ~default:false j in
-  let* st_workers = int_field "workers" j in
-  let* st_queue_depth = int_field "queue_depth" j in
-  let* st_queue_capacity = int_field "queue_capacity" j in
-  let* st_in_flight = int_field "in_flight" j in
-  let* st_cache =
-    let* c = field "cache" j in
-    decode_cache_summary c
-  in
-  let* st_sessions = int_field "sessions" j in
-  Ok
-    {
-      st_requests;
-      st_responses;
-      st_overloaded;
-      st_deadline_misses;
-      st_inflight_peak;
-      st_draining;
-      st_workers;
-      st_queue_depth;
-      st_queue_capacity;
-      st_in_flight;
-      st_cache;
-      st_sessions;
-    }
+let trace_span =
+  obj
+    (fields (fun t_name t_start_ns t_dur_ns t_depth ->
+         { t_name; t_start_ns; t_dur_ns; t_depth })
+    |> req "name" string (fun s -> s.t_name)
+    |> req "start_ns" int (fun s -> s.t_start_ns)
+    |> req "dur_ns" int (fun s -> s.t_dur_ns)
+    |> req "depth" int (fun s -> s.t_depth))
 
-let decode_op_latency j =
-  let* ol_op = string_field "op" j in
-  let* ol_count = int_field "count" j in
-  let* ol_p50_ms = stat_float_field "p50_ms" j in
-  let* ol_p90_ms = stat_float_field "p90_ms" j in
-  let* ol_p99_ms = stat_float_field "p99_ms" j in
-  let* ol_max_ms = stat_float_field "max_ms" j in
-  Ok { ol_op; ol_count; ol_p50_ms; ol_p90_ms; ol_p99_ms; ol_max_ms }
+let cache_summary =
+  obj
+    (fields
+       (fun cs_entries cs_bytes cs_hits cs_misses cs_coalesced cs_evictions ->
+         { cs_entries; cs_bytes; cs_hits; cs_misses; cs_coalesced; cs_evictions })
+    |> req "entries" int (fun c -> c.cs_entries)
+    |> req "bytes" int (fun c -> c.cs_bytes)
+    |> req "hits" int (fun c -> c.cs_hits)
+    |> req "misses" int (fun c -> c.cs_misses)
+    |> req "coalesced" int (fun c -> c.cs_coalesced)
+    |> req "evictions" int (fun c -> c.cs_evictions))
 
-let decode_exemplar j =
-  let* ex_op = string_field "op" j in
-  let* ex_id = int_field "id" j in
-  let* ex_ms = float_field "ms" j in
-  Ok { ex_op; ex_id; ex_ms }
+let stats_summary =
+  obj
+    (fields
+       (fun st_requests st_responses st_overloaded st_deadline_misses
+            st_inflight_peak st_draining st_workers st_queue_depth
+            st_queue_capacity st_in_flight st_cache st_sessions ->
+         { st_requests; st_responses; st_overloaded; st_deadline_misses;
+           st_inflight_peak; st_draining; st_workers; st_queue_depth;
+           st_queue_capacity; st_in_flight; st_cache; st_sessions })
+    |> req "requests" int (fun s -> s.st_requests)
+    |> req "responses" int (fun s -> s.st_responses)
+    |> req "overloaded" int (fun s -> s.st_overloaded)
+    |> req "deadline_misses" int (fun s -> s.st_deadline_misses)
+    |> req "inflight_peak" int (fun s -> s.st_inflight_peak)
+    |> dflt "draining" bool ~default:false (fun s -> s.st_draining)
+    |> req "workers" int (fun s -> s.st_workers)
+    |> req "queue_depth" int (fun s -> s.st_queue_depth)
+    |> req "queue_capacity" int (fun s -> s.st_queue_capacity)
+    |> req "in_flight" int (fun s -> s.st_in_flight)
+    |> req "cache" cache_summary (fun s -> s.st_cache)
+    |> req "sessions" int (fun s -> s.st_sessions))
 
-let decode_list name decode j =
-  match Json.member name j with
-  | Some (Json.List items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest ->
-            let* v = decode x in
-            go (v :: acc) rest
-      in
-      go [] items
-  | Some _ -> Error (Printf.sprintf "field %S must be an array" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
+let op_latency =
+  obj
+    (fields (fun ol_op ol_count ol_p50_ms ol_p90_ms ol_p99_ms ol_max_ms ->
+         { ol_op; ol_count; ol_p50_ms; ol_p90_ms; ol_p99_ms; ol_max_ms })
+    |> req "op" string (fun o -> o.ol_op)
+    |> req "count" int (fun o -> o.ol_count)
+    |> req "p50_ms" stat_float (fun o -> o.ol_p50_ms)
+    |> req "p90_ms" stat_float (fun o -> o.ol_p90_ms)
+    |> req "p99_ms" stat_float (fun o -> o.ol_p99_ms)
+    |> req "max_ms" stat_float (fun o -> o.ol_max_ms))
 
-let decode_backend_row j =
-  let* be_name = string_field "name" j in
-  let* be_healthy = bool_field_default "healthy" ~default:false j in
-  let* be_draining = bool_field_default "draining" ~default:false j in
-  let* be_queue_depth = int_field "queue_depth" j in
-  let* be_in_flight = int_field "in_flight" j in
-  let* be_requests = int_field "requests" j in
-  let* be_failures = int_field "failures" j in
-  let* be_hit_ratio = stat_float_field "hit_ratio" j in
-  let* be_p50_ms = stat_float_field "p50_ms" j in
-  let* be_p99_ms = stat_float_field "p99_ms" j in
-  Ok
-    {
-      be_name;
-      be_healthy;
-      be_draining;
-      be_queue_depth;
-      be_in_flight;
-      be_requests;
-      be_failures;
-      be_hit_ratio;
-      be_p50_ms;
-      be_p99_ms;
-    }
+let exemplar =
+  obj
+    (fields (fun ex_op ex_id ex_ms -> { ex_op; ex_id; ex_ms })
+    |> req "op" string (fun e -> e.ex_op)
+    |> req "id" int (fun e -> e.ex_id)
+    |> req "ms" number (fun e -> e.ex_ms))
 
-let decode_fleet_summary j =
-  let* fl_backends = decode_list "backends" decode_backend_row j in
-  let* fl_rerouted = int_field "rerouted" j in
-  let* fl_peek_hits = int_field "peek_hits" j in
-  let* fl_gossip_keys = int_field "gossip_keys" j in
-  Ok { fl_backends; fl_rerouted; fl_peek_hits; fl_gossip_keys }
+let gc_summary =
+  obj
+    (fields
+       (fun gc_heap_words gc_minor_collections gc_major_collections gc_compactions ->
+         { gc_heap_words; gc_minor_collections; gc_major_collections; gc_compactions })
+    |> req "heap_words" int (fun g -> g.gc_heap_words)
+    |> req "minor_collections" int (fun g -> g.gc_minor_collections)
+    |> req "major_collections" int (fun g -> g.gc_major_collections)
+    |> req "compactions" int (fun g -> g.gc_compactions))
 
-let decode_telemetry_summary j =
-  let* tel_uptime_s = float_field "uptime_s" j in
-  let* tel_window_s = float_field "window_s" j in
-  let* tel_windows = int_field "windows" j in
-  let* tel_in_flight = int_field "in_flight" j in
-  let* tel_queue_depth = int_field "queue_depth" j in
-  let* tel_ops = decode_list "ops" decode_op_latency j in
-  let* tel_cache =
-    let* c = field "cache" j in
-    decode_cache_summary c
-  in
-  let* tel_sessions = int_field "sessions" j in
-  let* tel_exemplars = decode_list "exemplars" decode_exemplar j in
-  let* tel_gc =
-    let* g = field "gc" j in
-    let* gc_heap_words = int_field "heap_words" g in
-    let* gc_minor_collections = int_field "minor_collections" g in
-    let* gc_major_collections = int_field "major_collections" g in
-    let* gc_compactions = int_field "compactions" g in
-    Ok { gc_heap_words; gc_minor_collections; gc_major_collections; gc_compactions }
-  in
-  let* tel_fleet =
-    match Json.member "fleet" j with
-    | None -> Ok None
-    | Some f ->
-        let* fl = decode_fleet_summary f in
-        Ok (Some fl)
-  in
-  Ok
-    {
-      tel_uptime_s;
-      tel_window_s;
-      tel_windows;
-      tel_in_flight;
-      tel_queue_depth;
-      tel_ops;
-      tel_cache;
-      tel_sessions;
-      tel_exemplars;
-      tel_gc;
-      tel_fleet;
-    }
+let backend_row =
+  obj
+    (fields
+       (fun be_name be_healthy be_draining be_queue_depth be_in_flight be_requests
+            be_failures be_hit_ratio be_p50_ms be_p99_ms ->
+         { be_name; be_healthy; be_draining; be_queue_depth; be_in_flight;
+           be_requests; be_failures; be_hit_ratio; be_p50_ms; be_p99_ms })
+    |> req "name" string (fun b -> b.be_name)
+    |> dflt "healthy" bool ~default:false (fun b -> b.be_healthy)
+    |> dflt "draining" bool ~default:false (fun b -> b.be_draining)
+    |> req "queue_depth" int (fun b -> b.be_queue_depth)
+    |> req "in_flight" int (fun b -> b.be_in_flight)
+    |> req "requests" int (fun b -> b.be_requests)
+    |> req "failures" int (fun b -> b.be_failures)
+    |> req "hit_ratio" stat_float (fun b -> b.be_hit_ratio)
+    |> req "p50_ms" stat_float (fun b -> b.be_p50_ms)
+    |> req "p99_ms" stat_float (fun b -> b.be_p99_ms))
 
-let decode_response json =
-  match json with
-  | Json.Obj _ -> (
-      let* () = decode_version json in
-      let* id = int_field "id" json in
-      let* ok = bool_field_default "ok" ~default:false json in
-      let* rtrace = decode_trace json in
-      if not ok then
-        let* e = field "error" json in
-        let* code_s = string_field "code" e in
-        let* code = error_code_of_string code_s in
-        let* message = string_field "message" e in
-        let* shard =
-          match Json.member "shard" e with
-          | None -> Ok None
-          | Some (Json.String s) -> Ok (Some s)
-          | Some _ -> Error "field \"shard\" must be a string"
-        in
-        Ok { rid = id; body = Error { code; message; shard }; rtrace }
-      else
-        let* op = string_field "op" json in
-        let* result = field "result" json in
-        let* body =
-          match op with
-          | "ping" -> Ok Pong
-          | "plan" ->
-              let* p = decode_plan_summary result in
-              Ok (Plan_r p)
-          | "describe" -> (
-              match Json.to_string_opt result with
-              | Some d -> Ok (Describe_r d)
-              | None -> Error "describe result must be a string")
-          | "simulate" ->
-              let* s = decode_sim_summary result in
-              Ok (Sim_r s)
-          | "churn_create" ->
-              let* session = int_field "session" result in
-              Ok (Churn_created session)
-          | "churn" ->
-              let* c = decode_churn_summary result in
-              Ok (Churn_r c)
-          | "churn_info" ->
-              let* info_session = int_field "session" result in
-              let* size = int_field "size" result in
-              let* info_slots = int_field "slots" result in
-              let* info_valid = bool_field_default "valid" ~default:false result in
-              Ok (Session_r { info_session; size; info_slots; info_valid })
-          | "churn_close" ->
-              let* session = int_field "session" result in
-              Ok (Churn_closed session)
-          | "stats" ->
-              let* s = decode_stats_summary result in
-              Ok (Stats_r s)
-          | "telemetry" ->
-              let* t = decode_telemetry_summary result in
-              Ok (Telemetry_r t)
-          | "shutdown" -> Ok Shutdown_ok
-          | "cache_peek" ->
-              let* present =
-                bool_field_default "present" ~default:false result
-              in
-              let* origin =
-                match Json.member "origin" result with
-                | None -> Ok None
-                | Some (Json.String s) -> Ok (Some s)
-                | Some _ -> Error "field \"origin\" must be a string"
-              in
-              Ok (Cache_peek_r { present; origin })
-          | "cache_advertise" ->
-              let* accepted = int_field "accepted" result in
-              Ok (Advertise_ok accepted)
-          | op -> Error ("unknown response op: " ^ op)
-        in
-        Ok { rid = id; body; rtrace })
-  | _ -> Error "a response is a JSON object"
+let fleet_summary =
+  obj
+    (fields (fun fl_backends fl_rerouted fl_peek_hits fl_gossip_keys ->
+         { fl_backends; fl_rerouted; fl_peek_hits; fl_gossip_keys })
+    |> req "backends" (list backend_row) (fun f -> f.fl_backends)
+    |> req "rerouted" int (fun f -> f.fl_rerouted)
+    |> req "peek_hits" int (fun f -> f.fl_peek_hits)
+    |> req "gossip_keys" int (fun f -> f.fl_gossip_keys))
+
+let telemetry_summary =
+  obj
+    (fields
+       (fun tel_uptime_s tel_window_s tel_windows tel_in_flight tel_queue_depth
+            tel_ops tel_cache tel_sessions tel_exemplars tel_gc tel_fleet ->
+         { tel_uptime_s; tel_window_s; tel_windows; tel_in_flight; tel_queue_depth;
+           tel_ops; tel_cache; tel_sessions; tel_exemplars; tel_gc; tel_fleet })
+    |> req "uptime_s" number (fun t -> t.tel_uptime_s)
+    |> req "window_s" number (fun t -> t.tel_window_s)
+    |> req "windows" int (fun t -> t.tel_windows)
+    |> req "in_flight" int (fun t -> t.tel_in_flight)
+    |> req "queue_depth" int (fun t -> t.tel_queue_depth)
+    |> req "ops" (list op_latency) (fun t -> t.tel_ops)
+    |> req "cache" cache_summary (fun t -> t.tel_cache)
+    |> req "sessions" int (fun t -> t.tel_sessions)
+    |> req "exemplars" (list exemplar) (fun t -> t.tel_exemplars)
+    |> req "gc" gc_summary (fun t -> t.tel_gc)
+    |> opt "fleet" fleet_summary (fun t -> t.tel_fleet))
+
+let result c = one "result" c
+
+(* Success: ["op"] names the result's shape.  [Churn_r] answers both
+   churn_add and churn_remove under the one op "churn". *)
+let result_cases =
+  [
+    const ~body:(result null) "ping" Pong;
+    case "plan" (result plan_summary)
+      (fun p -> Plan_r p) (function Plan_r p -> Some p | _ -> None);
+    case "describe" (result string)
+      (fun d -> Describe_r d) (function Describe_r d -> Some d | _ -> None);
+    case "simulate" (result sim_summary)
+      (fun s -> Sim_r s) (function Sim_r s -> Some s | _ -> None);
+    case "churn_create" (result (obj session))
+      (fun s -> Churn_created s) (function Churn_created s -> Some s | _ -> None);
+    case "churn" (result churn_summary)
+      (fun c -> Churn_r c) (function Churn_r c -> Some c | _ -> None);
+    case "churn_info" (result session_info)
+      (fun i -> Session_r i) (function Session_r i -> Some i | _ -> None);
+    case "churn_close" (result (obj session))
+      (fun s -> Churn_closed s) (function Churn_closed s -> Some s | _ -> None);
+    case "stats" (result stats_summary)
+      (fun s -> Stats_r s) (function Stats_r s -> Some s | _ -> None);
+    case "telemetry" (result telemetry_summary)
+      (fun t -> Telemetry_r t) (function Telemetry_r t -> Some t | _ -> None);
+    const ~body:(result null) "shutdown" Shutdown_ok;
+    case "cache_peek"
+      (result
+         (obj
+            (fields (fun present origin -> (present, origin))
+            |> dflt "present" bool ~default:false fst
+            |> opt "origin" string snd)))
+      (fun (present, origin) -> Cache_peek_r { present; origin })
+      (function Cache_peek_r { present; origin } -> Some (present, origin) | _ -> None);
+    case "cache_advertise"
+      (result (obj (one "accepted" int)))
+      (fun n -> Advertise_ok n) (function Advertise_ok n -> Some n | _ -> None);
+  ]
+
+let error_detail =
+  fields (fun code message shard -> (code, message, shard))
+  |> req "code" (enum "error code" error_codes) (fun (c, _, _) -> c)
+  |> req "message" string (fun (_, m, _) -> m)
+  |> opt "shard" string (fun (_, _, s) -> s)
+
+let response =
+  obj
+    (fields (fun () rid body rtrace -> { rid; body; rtrace })
+    |> version_field
+    |> req "id" int (fun r -> r.rid)
+    |> inline
+         (tagged ~default:false "ok" bool
+            [
+              case true (tagged "op" string result_cases) Fun.id (function
+                | Error _ -> None
+                | b -> Some b);
+              case false
+                (one "error" (obj error_detail))
+                (fun (code, message, shard) -> Error { code; message; shard })
+                (function
+                  | Error { code; message; shard } -> Some (code, message, shard)
+                  | _ -> None);
+            ])
+         (fun r -> r.body)
+    |> opt "trace" (list trace_span) (fun r -> r.rtrace))
 
 (* Line framing --------------------------------------------------------- *)
 
-let request_to_line r = Json.to_string ~pretty:false (encode_request r)
-let response_to_line r = Json.to_string ~pretty:false (encode_response r)
+let encode_request = request.enc
+let decode_request = request.dec
+let encode_response = response.enc
+let decode_response = response.dec
+let request_to_line r = Json.to_string ~pretty:false (request.enc r)
+let response_to_line r = Json.to_string ~pretty:false (response.enc r)
 
 let request_of_line line =
   let* json = Json.of_string line in
-  decode_request json
+  request.dec json
 
 let response_of_line line =
   let* json = Json.of_string line in
-  decode_response json
+  response.dec json
 
-(* Best-effort id extraction from a line that failed full decoding, so
-   the error envelope still correlates with the client's request. *)
+let id_of_json json =
+  Option.value ~default:0 (Option.bind (Json.member "id" json) Json.to_int_opt)
+
 let id_of_line line =
+  match Json.of_string line with Ok json -> id_of_json json | Error _ -> 0
+
+let undecodable ~line message =
   match Json.of_string line with
+  | Error _ -> error ~id:0 Bad_request message
   | Ok json -> (
-      match Option.bind (Json.member "id" json) Json.to_int_opt with
-      | Some id -> id
-      | None -> 0)
-  | Error _ -> 0
+      let id = id_of_json json in
+      match Option.bind (Json.member "v" json) foreign_version with
+      | Some n -> error ~id Bad_version (unsupported_version n)
+      | None -> error ~id Bad_request message)
+
+(* Envelope splicing ------------------------------------------------------ *)
+
+(* A response line, and a request line without [trace] or
+   [deadline_ms], begins with [line_prefix] and the id digits. *)
+let line_prefix = Printf.sprintf {|{"v":%d,"id":|} version
+let id_prefix id = line_prefix ^ string_of_int id
+
+(* [s] occurs in [line] at [pos]; no substring is built. *)
+let occurs_at line pos s =
+  let n = String.length s in
+  pos + n <= String.length line
+  &&
+  let rec eq i = i = n || (line.[pos + i] = s.[i] && eq (i + 1)) in
+  eq 0
+
+let split_id line =
+  let n = String.length line and start = String.length line_prefix in
+  let rec digits i id =
+    if i < n && line.[i] >= '0' && line.[i] <= '9' then
+      digits (i + 1) ((id * 10) + Char.code line.[i] - Char.code '0')
+    else if i > start && i < n then Some (id, i)
+    else None
+  in
+  if occurs_at line 0 line_prefix then digits start 0 else None
+
+let ok_at line pos = occurs_at line pos {|,"ok":true|}
 
 (* Greeting ------------------------------------------------------------- *)
 

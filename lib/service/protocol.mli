@@ -6,10 +6,14 @@
     the protocol [version] in ["v"] (omitted ["v"] means version 1);
     the server additionally sends {!greeting_line} on connect.
 
-    Encoders and decoders are exact inverses over well-formed values:
-    [decode (encode m) = Ok m] up to JSON field order (the qcheck
-    round-trip suite in [test/test_service.ml] enforces this), and
-    malformed input decodes to [Error] rather than raising. *)
+    Each message shape is declared once, as a list of members in wire
+    order, and both its encoder and its decoder are read off that one
+    declaration, so [decode (encode m) = Ok m] holds by construction
+    (the qcheck round-trip properties in [test/test_service.ml] guard
+    the one thing left to get right: that members reach their record
+    constructor in order).  Malformed input decodes to [Error] rather
+    than raising.  A golden corpus in [test/protocol_corpus.jsonl] pins
+    the wire bytes. *)
 
 val version : int
 
@@ -273,7 +277,10 @@ val spec_canonical_json : plan_spec -> Wa_util.Json.t
 (** The canonical form whose content hash is the plan-cache key:
     deployment, power mode, alpha, beta, gamma (explicit null when
     defaulted) and engine, in fixed field order.  [no_cache] is
-    excluded — it steers the cache, it does not change the plan. *)
+    excluded — it steers the cache, it does not change the plan.
+
+    Decoding rejects non-finite spec values (alpha, beta, gamma, side,
+    coordinates): the JSON parser reads [1e999] as infinity. *)
 
 val encode_request : request -> Wa_util.Json.t
 val decode_request : Wa_util.Json.t -> (request, string) result
@@ -290,6 +297,32 @@ val response_of_line : string -> (response, string) result
 val id_of_line : string -> int
 (** Best-effort ["id"] extraction from a malformed request line, so
     the error envelope still correlates; [0] when unrecoverable. *)
+
+val undecodable : line:string -> string -> response
+(** The reply to a request [line] that failed to decode with the given
+    message: [bad_version] when the line names a protocol version other
+    than {!version}, [bad_request] otherwise, with the id recovered as
+    by {!id_of_line}. *)
+
+(* Envelope splicing ---------------------------------------------------- *)
+
+(** Every response, and every request without [deadline_ms] or [trace],
+    encodes to a line that begins [{"v":1,"id":<id>].  Swapping that
+    prefix changes the id and nothing else, which lets a hop forward a
+    line without decoding it. *)
+
+val id_prefix : int -> string
+(** [{"v":1,"id":<id>], the line prefix for [id]. *)
+
+val split_id : string -> (int * int) option
+(** [Some (id, pos)] when the line begins with the id prefix: the id
+    and the offset just after its digits.  [None] otherwise (including
+    negative ids).  [id_prefix k ^] the rest from [pos] is the line
+    with id [k]. *)
+
+val ok_at : string -> int -> bool
+(** For a response line and the [pos] from {!split_id}: whether it
+    continues [,"ok":true], i.e. is a success.  Builds no string. *)
 
 val greeting_line : string
 (** Sent by the server on connect: service name + protocol version. *)

@@ -350,15 +350,7 @@ let handle_line t conn line =
     locked t.state_mu (fun () -> t.n_requests <- t.n_requests + 1);
     Metrics.incr t.c_requests;
     match P.request_of_line line with
-    | Error msg ->
-        let code =
-          if
-            String.length msg >= 20
-            && String.sub msg 0 20 = "unsupported protocol"
-          then P.Bad_version
-          else P.Bad_request
-        in
-        send t conn (P.error ~id:(P.id_of_line line) code msg)
+    | Error msg -> send t conn (P.undecodable ~line msg)
     | Ok r -> (
         let draining = locked t.state_mu (fun () -> t.draining) in
         match r.P.body with

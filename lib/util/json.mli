@@ -7,8 +7,7 @@
 
     Lives in [Wa_util] so that every layer — including the
     observability library, which the higher layers depend on — can
-    emit and parse JSON; {!Wa_io.Json} re-exports this module
-    unchanged. *)
+    emit and parse JSON. *)
 
 type t =
   | Null

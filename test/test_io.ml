@@ -1,4 +1,4 @@
-module Json = Wa_io.Json
+module Json = Wa_util.Json
 module Pointset_io = Wa_io.Pointset_io
 module Export = Wa_io.Export
 module Pointset = Wa_geom.Pointset

@@ -1,5 +1,5 @@
-(* The serving layer: protocol round-trips (qcheck), malformed-input
-   rejection, cache semantics (including structural equality of a
+(* The serving layer: protocol round-trips and id splicing (qcheck), the
+   golden wire corpus, malformed-input rejection, cache semantics (including structural equality of a
    cached plan against a freshly computed one), and the worker pool's
    backpressure and drain behavior. *)
 
@@ -385,6 +385,85 @@ let prop_response_roundtrip =
       | Error m -> QCheck.Test.fail_reportf "decode failed: %s" m
       | Ok r' -> String.equal (P.response_to_line r) (P.response_to_line r'))
 
+(* Golden wire corpus ---------------------------------------------------- *)
+
+(* [protocol_corpus.jsonl] holds 200 request and 200 response lines
+   drawn from the generators above (QCheck seed 20181106) by the
+   hand-written encoders that preceded the codec combinator, plus the
+   cache key of every plan-like request's spec.  Decoding and
+   re-encoding each line must give back the same bytes, and every key
+   must be unchanged: cache keys and ring placement depend on both. *)
+let test_golden_corpus () =
+  let lines =
+    In_channel.with_open_text "protocol_corpus.jsonl" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> not (String.equal l ""))
+  in
+  let requests = ref 0 and responses = ref 0 in
+  List.iter
+    (fun entry ->
+      let json = Result.get_ok (Json.of_string entry) in
+      let text name = Option.bind (Json.member name json) Json.to_string_opt in
+      match (text "request", text "response") with
+      | Some line, _ -> (
+          incr requests;
+          match P.request_of_line line with
+          | Error m -> Alcotest.failf "corpus request does not decode (%s): %s" m line
+          | Ok r -> (
+              Alcotest.(check string) "request bytes" line (P.request_to_line r);
+              match (r.P.body, text "spec_key") with
+              | (P.Plan spec | P.Describe spec | P.Simulate { spec; _ }), Some key ->
+                  Alcotest.(check string) "spec key" key (Engine.spec_key spec)
+              | (P.Plan _ | P.Describe _ | P.Simulate _), None ->
+                  Alcotest.failf "plan-like corpus request without a key: %s" line
+              | _ -> ()))
+      | None, Some line -> (
+          incr responses;
+          match P.response_of_line line with
+          | Error m -> Alcotest.failf "corpus response does not decode (%s): %s" m line
+          | Ok r ->
+              Alcotest.(check string) "response bytes" line (P.response_to_line r))
+      | None, None -> Alcotest.failf "corpus entry without a line: %s" entry)
+    lines;
+  Alcotest.(check (pair int int)) "corpus size" (200, 200) (!requests, !responses)
+
+(* Envelope splicing ----------------------------------------------------- *)
+
+let rest_of line pos = String.sub line pos (String.length line - pos)
+
+let prop_request_splice =
+  QCheck.Test.make ~count:500
+    ~name:"splicing id k into a request line = encoding with id k"
+    (QCheck.make
+       ~print:(fun (r, k) -> Printf.sprintf "%s with id %d" (P.request_to_line r) k)
+       QCheck.Gen.(pair gen_request (int_range 0 1_000_000)))
+    (fun (r, k) ->
+      let line = P.request_to_line r in
+      match P.split_id line with
+      | None -> r.P.trace || Option.is_some r.P.deadline_ms
+      | Some (id, pos) ->
+          id = r.P.id
+          && String.equal
+               (P.id_prefix k ^ rest_of line pos)
+               (P.request_to_line { r with P.id = k }))
+
+let prop_response_splice =
+  QCheck.Test.make ~count:500
+    ~name:"splicing id k into a response line = encoding with id k"
+    (QCheck.make
+       ~print:(fun (r, k) -> Printf.sprintf "%s with id %d" (P.response_to_line r) k)
+       QCheck.Gen.(pair gen_response (int_range 0 1_000_000)))
+    (fun (r, k) ->
+      let line = P.response_to_line r in
+      match P.split_id line with
+      | None -> false
+      | Some (id, pos) ->
+          id = r.P.rid
+          && P.ok_at line pos = (match r.P.body with P.Error _ -> false | _ -> true)
+          && String.equal
+               (P.id_prefix k ^ rest_of line pos)
+               (P.response_to_line { r with P.rid = k }))
+
 (* Malformed input ------------------------------------------------------- *)
 
 let bad_requests =
@@ -418,14 +497,48 @@ let bad_requests =
     ( "simulate with string periods",
       {|{"v":1,"id":1,"op":"simulate","deploy":{"points":[[0,0],[1,1]]},"periods":"many"}|}
     );
+    (* The parser reads 1e999 as infinity; no spec value may be one. *)
+    ( "infinite alpha",
+      {|{"v":1,"id":1,"op":"plan","deploy":{"points":[[0,0],[1,1]]},"alpha":1e999}|} );
+    ( "infinite beta",
+      {|{"v":1,"id":1,"op":"plan","deploy":{"points":[[0,0],[1,1]]},"beta":-1e999}|} );
+    ( "infinite gamma",
+      {|{"v":1,"id":1,"op":"plan","deploy":{"points":[[0,0],[1,1]]},"gamma":1e999}|} );
+    ( "infinite side",
+      {|{"v":1,"id":1,"op":"plan","deploy":{"kind":"uniform","n":10,"seed":1,"side":1e999}}|}
+    );
+    ( "infinite point",
+      {|{"v":1,"id":1,"op":"plan","deploy":{"points":[[1e999,0],[1,1]]}}|} );
+    ( "infinite sink",
+      {|{"v":1,"id":1,"op":"churn_create","sink":[0,-1e999],"power":"global"}|} );
+    ( "infinite churn point",
+      {|{"v":1,"id":1,"op":"churn_add","session":1,"point":[1e999,1]}|} );
+    ( "infinite oblivious tau",
+      {|{"v":1,"id":1,"op":"plan","deploy":{"points":[[0,0],[1,1]]},"power":"oblivious:1e999"}|}
+    );
+    ( "nan oblivious tau",
+      {|{"v":1,"id":1,"op":"plan","deploy":{"points":[[0,0],[1,1]]},"power":"oblivious:nan"}|}
+    );
   ]
 
 let test_malformed_requests () =
   List.iter
     (fun (name, line) ->
-      Alcotest.(check bool)
-        (name ^ " rejected") true
-        (Result.is_error (P.request_of_line line)))
+      match P.request_of_line line with
+      | Ok _ -> Alcotest.failf "%s accepted" name
+      | Error msg -> (
+          let expected =
+            if String.equal name "future version" then P.Bad_version else P.Bad_request
+          in
+          let reply = P.undecodable ~line msg in
+          Alcotest.(check int) (name ^ " id") (P.id_of_line line) reply.P.rid;
+          match reply.P.body with
+          | P.Error { code; _ } ->
+              Alcotest.(check string)
+                (name ^ " code")
+                (P.error_code_to_string expected)
+                (P.error_code_to_string code)
+          | _ -> Alcotest.failf "%s: reply is not an error" name))
     bad_requests
 
 let bad_responses =
@@ -626,8 +739,15 @@ let () =
     [
       ( "protocol",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_request_roundtrip; prop_response_roundtrip ]
+          [
+            prop_request_roundtrip;
+            prop_response_roundtrip;
+            prop_request_splice;
+            prop_response_splice;
+          ]
         @ [
+            Alcotest.test_case "golden corpus byte-identical" `Quick
+              test_golden_corpus;
             Alcotest.test_case "malformed requests rejected" `Quick
               test_malformed_requests;
             Alcotest.test_case "malformed responses rejected" `Quick
