@@ -64,8 +64,8 @@ let span_overhead_ns () =
   Float.max 0.0 ((traced -. bare) *. 1e6 /. float_of_int iters)
 
 (* Whole-pipeline cost with telemetry off vs on (min of three runs
-   each).  The enabled run does strictly more work by design — it adds
-   the telemetry-only affectance stage — so it is reported for the
+   each).  Both runs compute the same plan with the same stages, so the
+   difference is pure observation overhead; it is reported for the
    record, not gated. *)
 let plan_overhead ~quick =
   let n = if quick then 300 else 1000 in

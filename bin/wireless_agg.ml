@@ -217,8 +217,8 @@ let audit_arg =
   let doc =
     "Re-verify the finished plan with the runtime invariant auditor \
      (slot partition, per-slot SINR, tree rootedness, conflict-graph \
-     engine agreement, telemetry consistency).  Exits non-zero on any \
-     violation."
+     engine agreement, telemetry consistency) and record its exact \
+     Lemma-1 pressure.  Exits non-zero on any violation."
   in
   Arg.(value & flag & info [ "audit" ] ~doc)
 
@@ -228,7 +228,10 @@ let run_plan seed n side deploy power alpha beta json dot points_in audit tel =
   let* params = build_params alpha beta in
   let* mode = parse_power power in
   let* ps = obtain_deployment points_in deploy ~seed ~n ~side params in
-  let plan = Pipeline.plan ~params ~audit mode ps in
+  (* Lemma-1 pressure is proof telemetry, not plan input: only the
+     audit run asks for it (gauge [affectance.max_pressure]). *)
+  let pressure = if audit then Some `Exact else None in
+  let plan = Pipeline.plan ~params ~audit ?pressure mode ps in
   Printf.printf "deployment: %s (n=%d, seed=%d)\n"
     (match points_in with Some f -> f | None -> deploy)
     (Wa_geom.Pointset.size ps) seed;

@@ -94,10 +94,9 @@ let plan ?(params = Params.default) ?gamma ?(engine = `Indexed) ?(sink = 0)
   in
   let mode = mode_of power_mode in
   let ls = agg.Agg_tree.links in
-  (* Build the spatial index as its own stage and share it between the
-     conflict-graph build and the telemetry-only affectance stage
-     (previously Conflict.graph built it internally, invisible to any
-     timing).  Fixed schemes have no geometric threshold to index. *)
+  (* Build the spatial index as its own stage so its cost shows in the
+     stage timings.  Fixed schemes have no geometric threshold to
+     index. *)
   let index =
     match (engine, Greedy_schedule.threshold_for ?gamma mode) with
     | `Indexed, Some _ ->
@@ -132,18 +131,17 @@ let plan ?(params = Params.default) ?gamma ?(engine = `Indexed) ?(sink = 0)
   Metrics.set m_links (float_of_int (Linkset.size ls));
   let link_diversity = Linkset.diversity ls in
   Metrics.set m_link_diversity link_diversity;
-  (* Lemma-1 pressure is not needed to build the plan, but it is the
-     paper's own tightness measure, so evaluate it whenever telemetry
-     is on or a mode was requested explicitly.  [`Exact] runs the flat
+  (* Lemma-1 pressure is a proof device, not an input to the plan, so
+     it runs only when the caller names a mode; whether telemetry is on
+     never changes what is computed.  [`Exact] runs the flat
      struct-of-arrays kernel; [`Approx tol] the certified far-field
      evaluator (the only tractable option at very large n). *)
   let pressure_report =
-    if Option.is_some pressure || Wa_obs.enabled () then
-      let mode = Option.value ~default:`Exact pressure in
-      Some
-        (Trace.with_span "plan.affectance" (fun () ->
-             Refinement.longer_pressure ~mode params ls))
-    else None
+    Option.map
+      (fun mode ->
+        Trace.with_span "plan.affectance" (fun () ->
+            Refinement.longer_pressure ~mode params ls))
+      pressure
   in
   let point_diversity =
     Trace.with_span "plan.diversity" @@ fun () ->

@@ -22,8 +22,8 @@ type plan = {
   link_diversity : float;  (** Δ(L) of the MST links. *)
   pressure : Refinement.pressure_report option;
       (** Measured Lemma-1 pressure (with its certified error bound in
-          approximate mode).  Present when telemetry was enabled or a
-          [~pressure] mode was requested. *)
+          approximate mode).  Present iff [plan] ran with a
+          [~pressure] mode. *)
   valid : bool;  (** Result of the final ground-truth validation. *)
   audit : Wa_analysis.Audit.report option;
       (** Present iff [plan] ran with [~audit:true]. *)
@@ -54,12 +54,14 @@ val plan :
     agreement (thresholded modes only — this rebuilds both graphs, so
     expect O(n²) audit cost), and telemetry-report consistency.
 
-    [pressure] selects how the Lemma-1 pressure telemetry is
-    evaluated: [`Exact] (the default when telemetry is on) or
-    [`Approx tol] for the certified far-field evaluator.  Passing it
-    forces the evaluation even with telemetry off; when combined with
-    [~audit:true], an approximate report is certified against the
-    exact kernel on a sample of links (check ["pressure.approx"]). *)
+    [pressure] (default: none) evaluates the Lemma-1 pressure, a proof
+    quantity the plan itself never reads, in span ["plan.affectance"]:
+    [`Exact] runs the exact kernel, [`Approx tol] the certified
+    far-field evaluator.  Without it the stage is skipped whether or
+    not telemetry is on — observation never changes what is computed.
+    Combined with [~audit:true], an approximate report is certified
+    against the exact kernel on a sample of links (check
+    ["pressure.approx"]). *)
 
 val slots : plan -> int
 val rate : plan -> float

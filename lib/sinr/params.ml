@@ -1,6 +1,16 @@
 type t = { alpha : float; beta : float; noise : float; epsilon : float }
 
 let make ?(alpha = 3.0) ?(beta = 1.0) ?(noise = 0.0) ?(epsilon = 0.5) () =
+  (* The range tests below are all false on NaN and let +inf through,
+     so finiteness is checked first. *)
+  let finite name x =
+    if not (Float.is_finite x) then
+      invalid_arg ("Params.make: " ^ name ^ " must be finite")
+  in
+  finite "alpha" alpha;
+  finite "beta" beta;
+  finite "noise" noise;
+  finite "epsilon" epsilon;
   if alpha <= 2.0 then invalid_arg "Params.make: alpha must exceed 2";
   if beta <= 0.0 then invalid_arg "Params.make: beta must be positive";
   if noise < 0.0 then invalid_arg "Params.make: noise must be non-negative";

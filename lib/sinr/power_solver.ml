@@ -301,8 +301,7 @@ let solve_exact (p : Params.t) ls slot ids m ~rho ~iterations =
    so a 1% margin dominates it by eight orders of magnitude. *)
 let cw_accept_margin = 0.99
 
-let solve ?max_iter ?(quick = false) (p : Params.t) ls slot =
-  ignore max_iter;
+let solve ?(quick = false) (p : Params.t) ls slot =
   let slot = List.sort_uniq Int.compare slot in
   match slot with
   | [] -> { feasible = true; spectral_radius = 0.0; iterations = 0; power = None }

@@ -37,11 +37,9 @@ type outcome = {
           neutral value 1.0 and are never read). *)
 }
 
-val solve :
-  ?max_iter:int -> ?quick:bool -> Params.t -> Linkset.t -> int list -> outcome
+val solve : ?quick:bool -> Params.t -> Linkset.t -> int list -> outcome
 (** Decide feasibility of the slot and produce a witness power
-    vector.  [max_iter] is accepted for compatibility and ignored
-    (the linear system is solved directly).
+    vector.
 
     [quick] (default [false]) makes the undecided case conservative
     instead of exact: when the Collatz–Wielandt bounds stall without

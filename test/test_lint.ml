@@ -14,6 +14,7 @@ let config =
     Lint.Config.hot_paths = [ fixture "bad_printf_hot.ml" ];
     atomic_allowed = [];
     unix_allowed = [];
+    obs_allowed = [];
     float_modules = [ "Link"; "Vec2"; "Float" ];
     mli_required_roots = [ "lint_fixtures/liblike" ];
     export_roots = [ "lint_fixtures/exportlike" ];
@@ -94,13 +95,14 @@ let test_paths_totals () =
       "list-eq";
       "missing-mli";
       "obj-magic";
+      "obs-scope";
       "poly-compare";
       "printf-hot";
       "unix-scope";
     ]
   in
   Alcotest.(check (list string))
-    "exactly the eight planted violations" expected
+    "exactly the nine planted violations" expected
     (List.sort_uniq String.compare (rules_of report.Lint.violations));
   Alcotest.(check int)
     "no rule fires twice" (List.length expected)
@@ -172,6 +174,8 @@ let () =
             (check_single_rule "bad_atomic.ml" "atomic-scope");
           Alcotest.test_case "unix-scope" `Quick
             (check_single_rule "bad_unix.ml" "unix-scope");
+          Alcotest.test_case "obs-scope" `Quick
+            (check_single_rule "bad_obs_enabled.ml" "obs-scope");
           Alcotest.test_case "obj-magic" `Quick
             (check_single_rule "bad_obj_magic.ml" "obj-magic");
           Alcotest.test_case "printf-hot" `Quick

@@ -446,7 +446,7 @@ let test_export_roundtrip () =
 
 let test_pipeline_spans () =
   let ps = deployment 150 3 in
-  let plan = Pipeline.plan ~params:p `Global ps in
+  let plan = Pipeline.plan ~params:p ~pressure:`Exact `Global ps in
   let r = Report.capture () in
   List.iter
     (fun name ->
@@ -470,7 +470,59 @@ let test_pipeline_spans () =
   let plan_span = List.hd (Report.find_spans r "pipeline.plan") in
   let mst_span = List.hd (Report.find_spans r "plan.mst") in
   Alcotest.(check bool) "mst nested in pipeline" true
-    (mst_span.Trace.depth > plan_span.Trace.depth)
+    (mst_span.Trace.depth > plan_span.Trace.depth);
+  (* Without a [~pressure] mode the stage does not run, sink on or off. *)
+  Obs.reset ();
+  ignore (Pipeline.plan ~params:p `Global ps);
+  let r = Report.capture () in
+  Alcotest.(check bool) "no plan.affectance without ~pressure" false
+    (Report.has_span r "plan.affectance");
+  Alcotest.(check (option (float 0.0))) "no pressure gauge without ~pressure"
+    None
+    (Report.gauge_value r "affectance.max_pressure")
+
+(* Oracle: turning observation on changes nothing that is computed.
+   The same spec planned with the sink off and then on yields equal
+   plans, and the traced run executes exactly the plan stages. *)
+let test_observation_changes_nothing () =
+  let ps = deployment 200 17 in
+  Obs.disable ();
+  let off = Pipeline.plan ~params:p `Global ps in
+  Obs.enable ();
+  Obs.reset ();
+  let on = Pipeline.plan ~params:p `Global ps in
+  let r = Report.capture () in
+  let edges (pl : Pipeline.plan) =
+    Wa_graph.Tree.directed_edges pl.Pipeline.agg.Agg_tree.tree
+  in
+  let slots (pl : Pipeline.plan) =
+    Array.to_list pl.Pipeline.schedule.Wa_core.Schedule.slots
+  in
+  Alcotest.(check (list (pair int int))) "same tree edges" (edges off) (edges on);
+  Alcotest.(check (list (list int))) "same schedule, slot by slot" (slots off)
+    (slots on);
+  Alcotest.(check int) "same raw_colors" off.Pipeline.raw_colors
+    on.Pipeline.raw_colors;
+  Alcotest.(check int) "same repair_added" off.Pipeline.repair_added
+    on.Pipeline.repair_added;
+  Alcotest.(check bool) "same valid" off.Pipeline.valid on.Pipeline.valid;
+  Alcotest.(check bool) "same point diversity" true
+    (Float.equal off.Pipeline.point_diversity on.Pipeline.point_diversity);
+  Alcotest.(check bool) "same link diversity" true
+    (Float.equal off.Pipeline.link_diversity on.Pipeline.link_diversity);
+  Alcotest.(check bool) "no pressure report either way" true
+    (Option.is_none off.Pipeline.pressure && Option.is_none on.Pipeline.pressure);
+  let plan_stages =
+    List.filter
+      (fun n -> String.starts_with ~prefix:"plan." n)
+      (Report.span_names r)
+  in
+  Alcotest.(check (list string)) "exactly the plan stages"
+    [
+      "plan.color"; "plan.conflict"; "plan.diversity"; "plan.index"; "plan.mst";
+      "plan.validate";
+    ]
+    plan_stages
 
 let test_simulator_metrics () =
   let ps = deployment 60 5 in
@@ -562,6 +614,8 @@ let () =
         [
           Alcotest.test_case "stage spans and plan metrics" `Quick
             (with_fresh test_pipeline_spans);
+          Alcotest.test_case "observation changes nothing" `Quick
+            (with_fresh test_observation_changes_nothing);
           Alcotest.test_case "simulator metrics" `Quick
             (with_fresh test_simulator_metrics);
         ] );

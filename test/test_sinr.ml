@@ -30,7 +30,25 @@ let test_params_validation () =
   Alcotest.check_raises "beta <= 0" (Invalid_argument "Params.make: beta must be positive")
     (fun () -> ignore (Params.make ~beta:0.0 ()));
   Alcotest.check_raises "noise < 0" (Invalid_argument "Params.make: noise must be non-negative")
-    (fun () -> ignore (Params.make ~noise:(-1.0) ()))
+    (fun () -> ignore (Params.make ~noise:(-1.0) ()));
+  (* Every range test is false on NaN and +inf passes the lower
+     bounds, so non-finite values need their own rejection. *)
+  List.iter
+    (fun (name, v, mk) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%s = %g" name v)
+        (Invalid_argument ("Params.make: " ^ name ^ " must be finite"))
+        (fun () -> ignore (mk v)))
+    [
+      ("alpha", nan, fun v -> Params.make ~alpha:v ());
+      ("alpha", infinity, fun v -> Params.make ~alpha:v ());
+      ("beta", nan, fun v -> Params.make ~beta:v ());
+      ("beta", infinity, fun v -> Params.make ~beta:v ());
+      ("noise", nan, fun v -> Params.make ~noise:v ());
+      ("noise", infinity, fun v -> Params.make ~noise:v ());
+      ("epsilon", nan, fun v -> Params.make ~epsilon:v ());
+      ("epsilon", infinity, fun v -> Params.make ~epsilon:v ());
+    ]
 
 let test_params_strict () =
   let s = Params.strict p in

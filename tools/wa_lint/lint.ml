@@ -28,6 +28,11 @@
      numeric and algorithmic layers make them untestable without a
      kernel and invisible to the event-loop blocking certification in
      wa_check, which audits the perimeter only.
+   - [obs-scope]: [Wa_obs.enabled] (or [Wa_obs.Runtime.enabled])
+     outside [lib/obs/].  A branch on whether telemetry is on is how
+     observation starts changing what is computed; instrumentation
+     records unconditionally and lets the sink decide.  A use that
+     only skips recording work carries a justified suppression.
    - [obj-magic]: [Obj.magic], anywhere.
    - [printf-hot]: any [Printf.*] reference inside a configured hot
      path (default: [lib/sinr/] and [lib/core/conflict.ml]).  Hot paths
@@ -55,6 +60,7 @@ let rule_float_eq = "float-eq"
 let rule_poly_compare = "poly-compare"
 let rule_atomic_scope = "atomic-scope"
 let rule_unix_scope = "unix-scope"
+let rule_obs_scope = "obs-scope"
 let rule_obj_magic = "obj-magic"
 let rule_printf_hot = "printf-hot"
 let rule_missing_mli = "missing-mli"
@@ -68,6 +74,7 @@ let all_rules =
     rule_poly_compare;
     rule_atomic_scope;
     rule_unix_scope;
+    rule_obs_scope;
     rule_obj_magic;
     rule_printf_hot;
     rule_missing_mli;
@@ -82,6 +89,7 @@ module Config = struct
     hot_paths : string list;
     atomic_allowed : string list;
     unix_allowed : string list;
+    obs_allowed : string list;
     float_modules : string list;
     mli_required_roots : string list;
     export_roots : string list;
@@ -92,6 +100,7 @@ module Config = struct
       hot_paths = [ "lib/sinr/"; "lib/core/conflict.ml" ];
       atomic_allowed = [ "lib/obs/"; "lib/util/parallel.ml" ];
       unix_allowed = [ "lib/service/"; "lib/fleet/"; "lib/io/"; "bin/"; "bench/" ];
+      obs_allowed = [ "lib/obs/" ];
       float_modules = [ "Link"; "Vec2"; "Float" ];
       mli_required_roots = [ "lib/" ];
       export_roots = [ "lib/" ];
@@ -308,6 +317,7 @@ type file_ctx = {
   hot : bool;
   atomic_ok : bool;
   unix_ok : bool;
+  obs_ok : bool;
   allows : string list;
   mutable found : violation list;
 }
@@ -366,6 +376,12 @@ let check_ident ctx e =
             "Unix.* outside the I/O perimeter (allowed: lib/service/, \
              lib/fleet/, lib/io/, bin/, bench/); raise the syscall into \
              the caller or move the code"
+      | "Wa_obs" :: ([ "enabled" ] | [ "Runtime"; "enabled" ]) when not ctx.obs_ok
+        ->
+          flag ctx ~attrs:e.pexp_attributes e.pexp_loc rule_obs_scope
+            "Wa_obs.enabled outside lib/obs/; record unconditionally and \
+             let the sink decide, so observation never changes what is \
+             computed"
       | [ "Obj"; "magic" ] ->
           flag ctx ~attrs:e.pexp_attributes e.pexp_loc rule_obj_magic
             "Obj.magic defeats the type system; find another way"
@@ -423,6 +439,7 @@ let lint_file ?(config = Config.default) path =
           hot = path_matches ~prefixes:config.Config.hot_paths npath;
           atomic_ok = path_matches ~prefixes:config.Config.atomic_allowed npath;
           unix_ok = path_matches ~prefixes:config.Config.unix_allowed npath;
+          obs_ok = path_matches ~prefixes:config.Config.obs_allowed npath;
           allows = file_allows structure;
           found = [];
         }

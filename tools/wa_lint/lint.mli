@@ -11,6 +11,8 @@
     - [poly-compare] — bare [compare]/[Stdlib.compare];
     - [atomic-scope] — [Atomic.*] outside the concurrency core;
     - [unix-scope] — [Unix.*] outside the I/O perimeter;
+    - [obs-scope] — [Wa_obs.enabled] outside the observability
+      library (a branch on it can make telemetry change the result);
     - [obj-magic] — [Obj.magic];
     - [printf-hot] — [Printf.*] inside a configured hot path;
     - [missing-mli] — a library [.ml] with no sibling [.mli];
@@ -32,6 +34,8 @@ module Config : sig
         (** Path prefixes where [Atomic.*] is permitted. *)
     unix_allowed : string list;
         (** Path prefixes where [Unix.*] is permitted. *)
+    obs_allowed : string list;
+        (** Path prefixes where [Wa_obs.enabled] may be read. *)
     float_modules : string list;
         (** Modules whose applications count as float-bearing operands
             ([Link], [Vec2], [Float] by default). *)
@@ -45,7 +49,8 @@ module Config : sig
   val default : t
   (** The project rules: hot paths [lib/sinr/] + [lib/core/conflict.ml],
       atomics confined to [lib/obs/] + [lib/util/parallel.ml], syscalls
-      confined to [lib/service/] + [lib/io/] + [bin/] + [bench/], [.mli]
+      confined to [lib/service/] + [lib/io/] + [bin/] + [bench/],
+      [Wa_obs.enabled] confined to [lib/obs/], [.mli]
       required (and exports audited) under [lib/]. *)
 end
 
