@@ -217,7 +217,7 @@ let audit_arg =
   let doc =
     "Re-verify the finished plan with the runtime invariant auditor \
      (slot partition, per-slot SINR, tree rootedness, conflict-graph \
-     engine agreement, telemetry consistency) and record its exact \
+     engine agreement, telemetry consistency) and print its exact \
      Lemma-1 pressure.  Exits non-zero on any violation."
   in
   Arg.(value & flag & info [ "audit" ] ~doc)
@@ -228,8 +228,8 @@ let run_plan seed n side deploy power alpha beta json dot points_in audit tel =
   let* params = build_params alpha beta in
   let* mode = parse_power power in
   let* ps = obtain_deployment points_in deploy ~seed ~n ~side params in
-  (* Lemma-1 pressure is proof telemetry, not plan input: only the
-     audit run asks for it (gauge [affectance.max_pressure]). *)
+  (* Lemma-1 pressure is a proof quantity, not plan input: only the
+     audit run asks for it, and prints it beside the audit report. *)
   let pressure = if audit then Some `Exact else None in
   let plan = Pipeline.plan ~params ~audit ?pressure mode ps in
   Printf.printf "deployment: %s (n=%d, seed=%d)\n"
@@ -254,6 +254,11 @@ let run_plan seed n side deploy power alpha beta json dot points_in audit tel =
   match plan.Pipeline.audit with
   | None -> Ok ()
   | Some report ->
+      Option.iter
+        (fun p ->
+          Printf.printf "Lemma-1 pressure: %.2f\n"
+            p.Wa_core.Refinement.max_pressure)
+        plan.Pipeline.pressure;
       Format.printf "%a@." Wa_analysis.Audit.pp_report report;
       if Wa_analysis.Audit.ok report then Ok ()
       else Error (`Msg "audit failed: plan violates its invariants")

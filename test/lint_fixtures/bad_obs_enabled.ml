@@ -1,3 +1,3 @@
-(* Fixture: exactly one [obs-scope] violation (when the test config
-   empties the allow-list). *)
+(* Fixture: exactly one [obs-scope] violation (a branch on telemetry
+   outside lib/obs/). *)
 let extra_work () = if Wa_obs.enabled () then Some (List.init 8 Fun.id) else None

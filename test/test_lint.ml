@@ -14,7 +14,6 @@ let config =
     Lint.Config.hot_paths = [ fixture "bad_printf_hot.ml" ];
     atomic_allowed = [];
     unix_allowed = [];
-    obs_allowed = [];
     float_modules = [ "Link"; "Vec2"; "Float" ];
     mli_required_roots = [ "lint_fixtures/liblike" ];
     export_roots = [ "lint_fixtures/exportlike" ];

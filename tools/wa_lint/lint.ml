@@ -89,7 +89,6 @@ module Config = struct
     hot_paths : string list;
     atomic_allowed : string list;
     unix_allowed : string list;
-    obs_allowed : string list;
     float_modules : string list;
     mli_required_roots : string list;
     export_roots : string list;
@@ -100,7 +99,6 @@ module Config = struct
       hot_paths = [ "lib/sinr/"; "lib/core/conflict.ml" ];
       atomic_allowed = [ "lib/obs/"; "lib/util/parallel.ml" ];
       unix_allowed = [ "lib/service/"; "lib/fleet/"; "lib/io/"; "bin/"; "bench/" ];
-      obs_allowed = [ "lib/obs/" ];
       float_modules = [ "Link"; "Vec2"; "Float" ];
       mli_required_roots = [ "lib/" ];
       export_roots = [ "lib/" ];
@@ -439,7 +437,7 @@ let lint_file ?(config = Config.default) path =
           hot = path_matches ~prefixes:config.Config.hot_paths npath;
           atomic_ok = path_matches ~prefixes:config.Config.atomic_allowed npath;
           unix_ok = path_matches ~prefixes:config.Config.unix_allowed npath;
-          obs_ok = path_matches ~prefixes:config.Config.obs_allowed npath;
+          obs_ok = path_matches ~prefixes:[ "lib/obs/" ] npath;
           allows = file_allows structure;
           found = [];
         }

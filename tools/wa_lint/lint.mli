@@ -34,8 +34,6 @@ module Config : sig
         (** Path prefixes where [Atomic.*] is permitted. *)
     unix_allowed : string list;
         (** Path prefixes where [Unix.*] is permitted. *)
-    obs_allowed : string list;
-        (** Path prefixes where [Wa_obs.enabled] may be read. *)
     float_modules : string list;
         (** Modules whose applications count as float-bearing operands
             ([Link], [Vec2], [Float] by default). *)
@@ -49,8 +47,7 @@ module Config : sig
   val default : t
   (** The project rules: hot paths [lib/sinr/] + [lib/core/conflict.ml],
       atomics confined to [lib/obs/] + [lib/util/parallel.ml], syscalls
-      confined to [lib/service/] + [lib/io/] + [bin/] + [bench/],
-      [Wa_obs.enabled] confined to [lib/obs/], [.mli]
+      confined to [lib/service/] + [lib/io/] + [bin/] + [bench/], [.mli]
       required (and exports audited) under [lib/]. *)
 end
 
