@@ -13,11 +13,12 @@
      main.exe --no-bench      skip the bechamel micro-benchmarks
      main.exe --no-tables     skip the experiment tables
      main.exe --no-scaling    skip the scaling benchmarks
-     main.exe --json PATH     where to write the scaling timings
-                              (default BENCH_PR2.json)
+     main.exe --json PATH     also write the scaling timings as JSON
      main.exe --audit-bench   also measure Pipeline.plan ~audit:true
-                              overhead (JSON to --audit-json, default
-                              BENCH_PR3.json) *)
+                              overhead
+     main.exe --audit-json PATH  also write the audit timings as JSON
+
+   An unknown or incomplete flag prints this usage and exits 2. *)
 
 open Bechamel
 
@@ -193,6 +194,16 @@ let scaling_row n =
   in
   (row_json, table_row, equivalent = Some false)
 
+let write_json path doc =
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (Wa_util.Json.to_string doc);
+      output_char oc '\n';
+      close_out oc;
+      Printf.printf "wrote %s\n%!" path)
+    path
+
 let run_scaling ~quick ~json_path =
   let sizes = if quick then [ 200; 500 ] else [ 1000; 5000; 20000; 50000 ] in
   print_endline "running conflict-graph/validation scaling benchmarks...";
@@ -201,10 +212,7 @@ let run_scaling ~quick ~json_path =
     Wa_util.Table.create
       ~title:"Conflict graph + validation scaling (uniform MST links)"
       ~notes:
-        [
-          "dense reference and equivalence oracle run up to n = 5000";
-          "full timings in " ^ json_path;
-        ]
+        [ "dense reference and equivalence oracle run up to n = 5000" ]
       [ "n"; "indexed ms"; "dense ms"; "speedup"; "equal"; "validate ms" ]
   in
   List.iter (fun (_, r, _) -> Wa_util.Table.add_row table r) rows;
@@ -231,11 +239,7 @@ let run_scaling ~quick ~json_path =
         ("rows", List (List.map (fun (j, _, _) -> j) rows));
       ]
   in
-  let oc = open_out json_path in
-  output_string oc (Wa_util.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" json_path;
+  write_json json_path doc;
   if List.exists (fun (_, _, mismatch) -> mismatch) rows then begin
     prerr_endline
       "FATAL: indexed conflict graph differs from the dense reference";
@@ -315,11 +319,7 @@ let run_audit_bench ~quick ~json_path =
              List.map (fun c -> (c, Wa_util.Json.Float (check_ms c))) checks) );
       ]
   in
-  let oc = open_out json_path in
-  output_string oc (Wa_util.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" json_path;
+  write_json json_path doc;
   if violations > 0 then begin
     prerr_endline "FATAL: the audited benchmark plan violates its invariants";
     exit 1
@@ -453,30 +453,64 @@ let run_bechamel ~quick tests =
     (List.sort compare !rows);
   Wa_util.Table.print table
 
+let usage =
+  {|usage: main.exe [--quick] [--table ID] [--no-tables] [--no-scaling] [--no-bench]
+                [--json PATH] [--audit-bench] [--audit-json PATH]
+|}
+
+let usage_error msg =
+  Printf.eprintf "main: %s\n%s" msg usage;
+  exit 2
+
+type options = {
+  quick : bool;
+  table : string option;
+  tables : bool;
+  scaling : bool;
+  bench : bool;
+  json : string option;
+  audit_bench : bool;
+  audit_json : string option;
+}
+
+let rec parse o = function
+  | [] -> o
+  | "--quick" :: rest -> parse { o with quick = true } rest
+  | "--no-tables" :: rest -> parse { o with tables = false } rest
+  | "--no-scaling" :: rest -> parse { o with scaling = false } rest
+  | "--no-bench" :: rest -> parse { o with bench = false } rest
+  | "--audit-bench" :: rest -> parse { o with audit_bench = true } rest
+  | "--table" :: v :: rest -> parse { o with table = Some v } rest
+  | "--json" :: v :: rest -> parse { o with json = Some v } rest
+  | "--audit-json" :: v :: rest -> parse { o with audit_json = Some v } rest
+  | [ ("--table" | "--json" | "--audit-json") as f ] ->
+      usage_error (f ^ " expects a value")
+  | f :: _ -> usage_error ("unknown flag " ^ f)
+
 let () =
-  let args = Array.to_list Sys.argv in
-  let has flag = List.mem flag args in
-  let quick = has "--quick" in
-  let rec find_value flag = function
-    | f :: v :: _ when f = flag -> Some v
-    | _ :: rest -> find_value flag rest
-    | [] -> None
+  let o =
+    parse
+      {
+        quick = false;
+        table = None;
+        tables = true;
+        scaling = true;
+        bench = true;
+        json = None;
+        audit_bench = false;
+        audit_json = None;
+      }
+      (List.tl (Array.to_list Sys.argv))
   in
-  let find_table args = find_value "--table" args in
-  let json_path =
-    Option.value ~default:"BENCH_PR2.json" (find_value "--json" args)
-  in
+  let quick = o.quick in
   let t0 = Unix.gettimeofday () in
-  (if not (has "--no-tables") then
-     match find_table args with
+  (if o.tables then
+     match o.table with
      | Some id -> Wa_experiments.Experiments.run_all ~quick ~ids:[ id ] ()
      | None -> Wa_experiments.Experiments.run_all ~quick ());
-  if not (has "--no-scaling") then run_scaling ~quick ~json_path;
-  if has "--audit-bench" then
-    run_audit_bench ~quick
-      ~json_path:
-        (Option.value ~default:"BENCH_PR3.json" (find_value "--audit-json" args));
-  if not (has "--no-bench") then begin
+  if o.scaling then run_scaling ~quick ~json_path:o.json;
+  if o.audit_bench then run_audit_bench ~quick ~json_path:o.audit_json;
+  if o.bench then begin
     print_endline "running bechamel micro-benchmarks...";
     (* The per-table timings rerun every experiment; in quick mode the
        stage micro-benchmarks alone keep the run seconds-scale. *)

@@ -816,13 +816,12 @@ let top_cmd =
 (* client ----------------------------------------------------------------- *)
 
 let run_client host port deadline_ms trace op seed n side deploy power alpha
-    beta gamma engine no_cache periods =
+    beta gamma no_cache periods =
   let module C = Wa_service.Client in
   let module P = Wa_service.Protocol in
   let ( let* ) = Result.bind in
   let err m = `Msg m in
   let* mode = parse_power power in
-  let* engine = P.engine_of_string engine |> Result.map_error err in
   let spec =
     {
       P.deploy = P.Generate { kind = deploy; n; seed; side };
@@ -830,7 +829,7 @@ let run_client host port deadline_ms trace op seed n side deploy power alpha
       alpha;
       beta;
       gamma;
-      engine;
+      engine = `Indexed;
       no_cache;
     }
   in
@@ -933,10 +932,6 @@ let client_cmd =
     let doc = "Interference-safety margin gamma (mode default if omitted)." in
     Arg.(value & opt (some float) None & info [ "gamma" ] ~docv:"G" ~doc)
   in
-  let engine_arg =
-    let doc = "Conflict-graph engine: dense | indexed." in
-    Arg.(value & opt string "indexed" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let no_cache_arg =
     (* Named --cold rather than --no-cache so that --n stays an
        unambiguous prefix of --nodes. *)
@@ -950,7 +945,7 @@ let client_cmd =
     Term.(
       const run_client $ host_arg $ port_arg $ deadline_arg $ trace_arg
       $ op_arg $ seed_arg $ nodes_arg $ side_arg $ deploy_arg $ power_arg
-      $ alpha_arg $ beta_arg $ gamma_arg $ engine_arg $ no_cache_arg
+      $ alpha_arg $ beta_arg $ gamma_arg $ no_cache_arg
       $ periods_arg)
   in
   Cmd.v

@@ -88,6 +88,10 @@ let plan_bytes (plan : Pipeline.plan) =
   1024 + (nodes * 48) + (links * 160) + (slots * 64)
 
 let compute_plan (spec : P.plan_spec) =
+  (* The dense engine is the O(n^2) reference scan that tests check
+     the indexed one against; a client could aim it at any n. *)
+  if spec.P.engine = `Dense then
+    invalid_arg "engine dense is a test oracle; the server plans with indexed";
   let params =
     Wa_sinr.Params.make ~alpha:spec.P.alpha ~beta:spec.P.beta ()
   in

@@ -21,7 +21,8 @@ val create :
 val handle : t -> Protocol.request_body -> Protocol.response_body
 (** Never raises: pipeline [Invalid_argument]/[Failure] map to
     [bad_request], unknown churn ids to [no_such_session] or
-    [bad_request], anything else to [internal]. *)
+    [bad_request], anything else to [internal].  A spec naming the
+    [`Dense] engine, the O(n²) reference scan, is a [bad_request]. *)
 
 val peek : t -> string -> Protocol.response_body
 (** Answer [cache_peek]: local presence (no LRU touch, no hit/miss

@@ -454,8 +454,6 @@ let power_of_string s =
 
 let power = conv power_to_string power_of_string string
 let engines = [ ("indexed", `Indexed); ("dense", `Dense) ]
-let engine_to_string e = name_of engines e
-let engine_of_string s = lookup "engine" engines s
 
 let error_codes =
   [

@@ -32,9 +32,13 @@ type plan_spec = {
   beta : float;
   gamma : float option;  (** [None]: the mode-specific default. *)
   engine : Wa_core.Conflict.engine;
+      (** The wire carries ["dense"] too, but the server answers a
+          [`Dense] spec with [bad_request]: that engine is the O(n²)
+          reference scan that tests check [`Indexed] against. *)
   no_cache : bool;
       (** Bypass the plan cache entirely (no lookup, no store); used
-          to force cold computations, e.g. by the load benchmark. *)
+          to force cold computations, e.g. by the benchmark's cold
+          workloads. *)
 }
 
 type request_body =
@@ -269,8 +273,6 @@ val error : ?shard:string -> id:int -> error_code -> string -> response
 
 val power_to_string : Wa_core.Pipeline.power_mode -> string
 val power_of_string : string -> (Wa_core.Pipeline.power_mode, string) result
-val engine_to_string : Wa_core.Conflict.engine -> string
-val engine_of_string : string -> (Wa_core.Conflict.engine, string) result
 val error_code_to_string : error_code -> string
 
 val spec_canonical_json : plan_spec -> Wa_util.Json.t

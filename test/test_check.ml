@@ -219,6 +219,37 @@ let test_report_roundtrip =
               && List.equal Check.equal_violation r.Check.violations
                    r'.Check.violations))
 
+(* Analyzer budget: the whole-program run over the library tree (the
+   .cmt files of ../lib, built before this test runs) must stay cheap
+   enough to sit in every build.  Cold, with an empty summary cache,
+   it takes under 5 s; warm, against the cache the cold run wrote, it
+   is at least 3x faster and rebuilds a byte-identical report. *)
+let test_analyzer_budget () =
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, (Unix.gettimeofday () -. t0) *. 1000.0)
+  in
+  let cache = Filename.temp_file "wa_check_budget" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove cache) @@ fun () ->
+  let run () = time (fun () -> Check.analyze_program ~cache [ "../lib" ]) in
+  let (cold, cold_stats), cold_ms = run () in
+  let (warm, warm_stats), warm_ms = run () in
+  Alcotest.(check bool) "first run is cold" false cold_stats.Summary.st_warm;
+  Alcotest.(check bool) "second run is warm" true warm_stats.Summary.st_warm;
+  Alcotest.(check bool) "library tree scanned" true
+    (cold.Check.files_scanned > 0);
+  Alcotest.(check string) "warm report byte-identical"
+    (Json.to_string (Check.report_to_json cold))
+    (Json.to_string (Check.report_to_json warm));
+  Alcotest.(check bool) (Printf.sprintf "cold %.0f ms < 5000 ms" cold_ms) true
+    (cold_ms < 5000.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "warm %.0f ms at least 3x faster than cold %.0f ms"
+       warm_ms cold_ms)
+    true
+    (cold_ms >= 3.0 *. warm_ms)
+
 let () =
   Alcotest.run "wa_check"
     [
@@ -324,6 +355,7 @@ let () =
           Alcotest.test_case "whole-tree scan" `Quick test_tree_totals;
           Alcotest.test_case "summary cache round-trip" `Quick
             test_cache_roundtrip;
+          Alcotest.test_case "analyzer budget" `Quick test_analyzer_budget;
         ] );
       ( "json",
         [

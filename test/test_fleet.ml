@@ -8,6 +8,9 @@
 
 module Ring = Wa_fleet.Ring
 module Merge = Wa_fleet.Merge
+module O = Wa_fleet.Orchestrator
+module R = Wa_fleet.Router
+module Client = Wa_service.Client
 module P = Wa_service.Protocol
 
 (* Generators ----------------------------------------------------------- *)
@@ -235,6 +238,170 @@ let prop_merge_telemetry_sums =
              op_count name m = sum (op_count name) parts)
            [ "plan"; "describe"; "simulate" ])
 
+(* Chaos drain ------------------------------------------------------------- *)
+
+(* Three real [wa serve] backends, started by the orchestrator with the
+   argv that [wa fleet] builds, behind an in-process router.  One
+   backend is SIGKILLed in the middle of a pipelined burst of cached
+   plans: the router must re-route everything the dead shard held, so
+   every request is answered and none fails. *)
+
+(* The CLI sits next to this test in the build tree (bin/ beside test/). *)
+let wa_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/wireless_agg.exe"
+
+let make_argv ~name ~port ~peers =
+  Array.of_list
+    ([
+       wa_exe; "serve"; "--host"; "127.0.0.1"; "--port"; string_of_int port;
+       "--name"; name; "--queue-capacity"; "128"; "--cache-entries"; "128";
+       "--cache-mb"; "256"; "--max-sessions"; "64";
+     ]
+    @ List.concat_map
+        (fun (h, p) -> [ "--peer"; Printf.sprintf "%s:%d" h p ])
+        peers)
+
+let connect port =
+  match Client.connect ~port () with
+  | Ok c -> c
+  | Error m -> Alcotest.failf "connect: %s" m
+
+let call c body =
+  match Client.call c body with
+  | Ok r -> r
+  | Error m -> Alcotest.failf "call: %s" m
+
+let fleet_summary port =
+  let c = connect port in
+  let r = call c P.Telemetry in
+  Client.close c;
+  match r.P.body with
+  | P.Telemetry_r { P.tel_fleet = Some fl; _ } -> fl
+  | _ ->
+      Alcotest.failf "telemetry without a fleet summary: %s"
+        (P.response_to_line r)
+
+let healthy fl =
+  List.length (List.filter (fun b -> b.P.be_healthy) fl.P.fl_backends)
+
+(* Health is earned by the first probe reply: wait until the router
+   sees every shard up before opening traffic. *)
+let wait_healthy port ~count =
+  let deadline = Unix.gettimeofday () +. 15.0 in
+  while healthy (fleet_summary port) < count do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "router never saw every backend healthy";
+    Unix.sleepf 0.02
+  done
+
+let spec seed =
+  {
+    P.deploy = P.Generate { kind = "uniform"; n = 60; seed; side = 1000.0 };
+    power = `Global;
+    alpha = 3.0;
+    beta = 1.0;
+    gamma = None;
+    engine = `Indexed;
+    no_cache = false;
+  }
+
+(* Windowed pipelining over [conns]; [on_sent i] runs after the i-th
+   send.  Returns (answered, failed). *)
+let blast conns ~total ~window ~specs ~on_sent =
+  let n = Array.length conns in
+  let outstanding = Array.make n 0 in
+  let ok = ref 0 and bad = ref 0 in
+  let recv_one ci =
+    match Client.recv conns.(ci) with
+    | Ok r ->
+        outstanding.(ci) <- outstanding.(ci) - 1;
+        (match r.P.body with P.Error _ -> incr bad | _ -> incr ok)
+    | Error m -> Alcotest.failf "recv: %s" m
+  in
+  for i = 0 to total - 1 do
+    let ci = i mod n in
+    let c = conns.(ci) in
+    let spec = specs.(i mod Array.length specs) in
+    (match Client.send c (Client.request c (P.Plan spec)) with
+    | Ok () -> outstanding.(ci) <- outstanding.(ci) + 1
+    | Error m -> Alcotest.failf "send: %s" m);
+    on_sent i;
+    if outstanding.(ci) >= window then
+      while outstanding.(ci) > window / 2 do
+        recv_one ci
+      done
+  done;
+  Array.iteri
+    (fun ci _ ->
+      while outstanding.(ci) > 0 do
+        recv_one ci
+      done)
+    conns;
+  (!ok + !bad, !bad)
+
+(* A request the router loses would block its reader forever, so a
+   watchdog fails the whole run instead, after stopping the backends. *)
+let with_watchdog ~seconds orch f =
+  let finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.05
+        done;
+        if not (Atomic.get finished) then begin
+          Printf.eprintf "chaos drain: still waiting after %.0f s\n%!" seconds;
+          O.stop_all orch;
+          exit 1
+        end)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog;
+      O.stop_all orch)
+    f
+
+let test_chaos_drain () =
+  let orch =
+    O.create { (O.default_config ~make_argv) with base_port = 7611; count = 3 }
+  in
+  with_watchdog ~seconds:60.0 orch @@ fun () ->
+  Alcotest.(check bool) "every backend ready" true (O.wait_ready orch);
+  let router =
+    R.create { (R.default_config ~backends:(O.backend_addrs orch)) with port = 0 }
+  in
+  let router_dom = Domain.spawn (fun () -> R.run router) in
+  let port = R.port router in
+  wait_healthy port ~count:3;
+  (* Warming fills each home shard and gossips the digests to its ring
+     successors, so re-routed requests can find warm replicas. *)
+  let specs = Array.init 12 (fun i -> spec (100 + i)) in
+  let warm = connect port in
+  Array.iter (fun s -> ignore (call warm (P.Plan s))) specs;
+  Client.close warm;
+  let total = 240 in
+  let conns = Array.init 2 (fun _ -> connect port) in
+  let on_sent i =
+    if i = total / 2 && not (O.kill_member orch "shard1") then
+      Alcotest.fail "kill_member failed"
+  in
+  let answered, failed = blast conns ~total ~window:16 ~specs ~on_sent in
+  Array.iter Client.close conns;
+  let fl = fleet_summary port in
+  Alcotest.(check int) "every request answered" total answered;
+  Alcotest.(check int) "zero failed" 0 failed;
+  Alcotest.(check int) "killed shard marked down" 2 (healthy fl);
+  Alcotest.(check bool)
+    (Printf.sprintf "survivors absorbed the moved arc (rerouted %d)"
+       fl.P.fl_rerouted)
+    true (fl.P.fl_rerouted > 0);
+  let c = connect port in
+  Alcotest.(check bool) "router shutdown acknowledged" true
+    ((call c P.Shutdown).P.body = P.Shutdown_ok);
+  Client.close c;
+  Domain.join router_dom
+
 let () =
   Alcotest.run "wa_fleet"
     [
@@ -249,4 +416,5 @@ let () =
             prop_merge_stats_sums;
             prop_merge_telemetry_sums;
           ] );
+      ("chaos", [ Alcotest.test_case "chaos drain" `Quick test_chaos_drain ]);
     ]

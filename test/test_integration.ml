@@ -203,6 +203,42 @@ let test_noise_robustness () =
     true
     (Pipeline.slots noisy_plan <= (3 * Pipeline.slots quiet_plan) + 2)
 
+(* Exact per-seed counts: the plan is deterministic for a fixed
+   deployment, so slots, colors before repair, repair slots and the
+   conflict graph's edge count repeat run for run.  Any change to
+   these numbers is a change to what the pipeline computes, and must
+   be deliberate.  Allocation is left out: it varies with the domain
+   fan-out and the compiler version. *)
+let exact_counts =
+  (* (n, mode, seed, slots, raw_colors, repair_added, conflict edges) *)
+  [
+    (1500, `Global, 1, 8, 8, 0, 3968);
+    (1500, `Global, 2, 7, 7, 0, 3886);
+    (1500, `Global, 3, 8, 8, 0, 3928);
+    (300, `Oblivious 0.5, 1, 10, 10, 0, 1334);
+    (300, `Oblivious 0.5, 2, 9, 9, 0, 1329);
+    (300, `Oblivious 0.5, 3, 9, 9, 0, 1278);
+  ]
+
+let test_exact_counts () =
+  List.iter
+    (fun (n, mode, seed, slots, raw_colors, repair_added, edges) ->
+      let ps = Random_deploy.uniform_square (Rng.create seed) ~n ~side:1000.0 in
+      let plan = Pipeline.plan ~params:p mode ps in
+      let graph =
+        Greedy_schedule.conflict_graph p plan.Pipeline.agg.Agg_tree.links
+          plan.Pipeline.mode
+      in
+      let what = Printf.sprintf "n=%d seed=%d %s" n seed in
+      Alcotest.(check bool) (what "valid") true plan.Pipeline.valid;
+      Alcotest.(check int) (what "slots") slots (Pipeline.slots plan);
+      Alcotest.(check int) (what "raw colors") raw_colors plan.Pipeline.raw_colors;
+      Alcotest.(check int) (what "repair added") repair_added
+        plan.Pipeline.repair_added;
+      Alcotest.(check int) (what "conflict edges") edges
+        (Wa_graph.Graph.edge_count graph))
+    exact_counts
+
 let () =
   Alcotest.run "wa_integration"
     [
@@ -218,5 +254,6 @@ let () =
           Alcotest.test_case "rate/latency tradeoff" `Quick test_rate_latency_tradeoff;
           Alcotest.test_case "grid constant" `Quick test_grid_constant;
           Alcotest.test_case "noise robustness" `Quick test_noise_robustness;
+          Alcotest.test_case "exact per-seed counts" `Quick test_exact_counts;
         ] );
     ]

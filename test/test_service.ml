@@ -732,6 +732,307 @@ let test_pool_backpressure () =
   Alcotest.(check int) "drained" 0 (Pool.in_flight pool);
   Pool.shutdown pool
 
+(* Live server ------------------------------------------------------------ *)
+
+(* One in-process server on an ephemeral loopback port, driven over
+   real TCP sockets.  The cases of the "server" group share it and run
+   in order; the last one shuts it down.  The queue capacity of 128
+   is what the bursts below are sized against: 68 requests in flight
+   must all be accepted. *)
+module Server = Wa_service.Server
+module Client = Wa_service.Client
+
+let live =
+  lazy
+    (let srv =
+       Server.create
+         { Server.default_config with port = 0; queue_capacity = 128 }
+     in
+     (srv, Domain.spawn (fun () -> Server.run srv)))
+
+let live_port () = Server.port (fst (Lazy.force live))
+
+let connect () =
+  match Client.connect ~port:(live_port ()) () with
+  | Ok c -> c
+  | Error m -> Alcotest.failf "connect: %s" m
+
+let call ?trace c body =
+  match Client.call ?trace c body with
+  | Ok r -> r
+  | Error m -> Alcotest.failf "call: %s" m
+
+let send c body =
+  match Client.send c (Client.request c body) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "send: %s" m
+
+let recv c =
+  match Client.recv c with Ok r -> r | Error m -> Alcotest.failf "recv: %s" m
+
+let live_spec ?(no_cache = false) n seed = { (spec_gen n seed) with P.no_cache }
+
+let is_ok (r : P.response) = match r.P.body with P.Error _ -> false | _ -> true
+
+let error_code (r : P.response) =
+  match r.P.body with
+  | P.Error { code; _ } -> P.error_code_to_string code
+  | _ -> "ok"
+
+let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1000.0
+
+(* One raw line over the socket: the greeting and the one reply line. *)
+let raw_roundtrip line =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, live_port ()));
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let greeting = input_line ic in
+  output_string oc (line ^ "\n");
+  flush oc;
+  match P.response_of_line (input_line ic) with
+  | Ok r -> (greeting, r)
+  | Error m -> Alcotest.failf "undecodable reply to %s: %s" line m
+
+let test_live_ping () =
+  let greeting, r = raw_roundtrip {|{"v":1,"id":3,"op":"ping"}|} in
+  Alcotest.(check bool) "greeting verifies" true
+    (Result.is_ok (P.check_greeting greeting));
+  Alcotest.(check bool) "pong" true (r.P.rid = 3 && r.P.body = P.Pong)
+
+(* A hit must not pay for scheduling: every repeat is served from the
+   cache, and its median is at least twice as fast as a cold plan. *)
+let test_live_cached () =
+  let c = connect () in
+  let t0 = Unix.gettimeofday () in
+  let cold = call c (P.Plan (live_spec ~no_cache:true 300 11)) in
+  let cold_ms = ms_since t0 in
+  Alcotest.(check bool) "cold plan ok" true (is_ok cold);
+  let spec = live_spec 300 11 in
+  Alcotest.(check bool) "store plan ok" true (is_ok (call c (P.Plan spec)));
+  let lats =
+    Array.init 30 (fun i ->
+        let t0 = Unix.gettimeofday () in
+        let r = call c (P.Plan spec) in
+        let ms = ms_since t0 in
+        match r.P.body with
+        | P.Plan_r { P.cached = true; _ } -> ms
+        | _ ->
+            Alcotest.failf "repeat %d not served from cache: %s" i
+              (P.response_to_line r))
+  in
+  Client.close c;
+  Array.sort Float.compare lats;
+  let cached_ms = lats.(Array.length lats / 2) in
+  Alcotest.(check bool)
+    (Printf.sprintf "cached p50 %.3f ms at least 2x faster than cold %.1f ms"
+       cached_ms cold_ms)
+    true
+    (cold_ms >= 2.0 *. cached_ms)
+
+(* Windowed pipelining on two connections; responses are counted, not
+   matched, since the protocol allows out-of-order completion. *)
+let test_live_pipelined () =
+  let specs = Array.init 4 (fun i -> live_spec 120 (20 + i)) in
+  let warm = connect () in
+  Array.iter (fun s -> ignore (call warm (P.Plan s))) specs;
+  Client.close warm;
+  let window = 8 and per_conn = 50 in
+  let answered = ref 0 and bad = ref [] in
+  for ci = 0 to 1 do
+    let c = connect () in
+    let outstanding = ref 0 in
+    let recv_one () =
+      let r = recv c in
+      decr outstanding;
+      incr answered;
+      if not (is_ok r) then bad := error_code r :: !bad
+    in
+    for i = 1 to per_conn do
+      send c (P.Plan specs.((ci + i) mod Array.length specs));
+      incr outstanding;
+      if !outstanding >= window then recv_one ()
+    done;
+    while !outstanding > 0 do
+      recv_one ()
+    done;
+    Client.close c
+  done;
+  Alcotest.(check int) "every request answered" (2 * per_conn) !answered;
+  Alcotest.(check (list string)) "no failed responses" [] !bad
+
+(* Send [total] uncacheable plans round-robin over [conns] before
+   reading any reply, run [meanwhile], then collect every reply.
+   Returns (answered, overloaded, other failures). *)
+let burst ~conns ~total ~seed0 ~meanwhile =
+  let n_conns = Array.length conns in
+  for i = 0 to total - 1 do
+    send conns.(i mod n_conns) (P.Plan (live_spec ~no_cache:true 120 (seed0 + i)))
+  done;
+  meanwhile ();
+  let answered = ref 0 and overloaded = ref 0 and bad = ref 0 in
+  Array.iteri
+    (fun ci c ->
+      let mine = (total / n_conns) + if ci < total mod n_conns then 1 else 0 in
+      for _ = 1 to mine do
+        let r = recv c in
+        incr answered;
+        match r.P.body with
+        | P.Error { code = P.Overloaded; _ } -> incr overloaded
+        | P.Error _ -> incr bad
+        | _ -> ()
+      done;
+      Client.close c)
+    conns;
+  (!answered, !overloaded, !bad)
+
+(* The event loop ingests far faster than the pool retires cold plans,
+   so queued + executing peaks at 64 or more; with a queue of 128 none
+   may be refused and every one must be answered. *)
+let test_live_burst () =
+  let conns = Array.init 4 (fun _ -> connect ()) in
+  let answered, overloaded, bad =
+    burst ~conns ~total:68 ~seed0:1000 ~meanwhile:ignore
+  in
+  Alcotest.(check int) "zero dropped" 68 answered;
+  Alcotest.(check int) "zero overloaded" 0 overloaded;
+  Alcotest.(check int) "zero failed" 0 bad;
+  let c = connect () in
+  let peak =
+    match (call c P.Stats).P.body with
+    | P.Stats_r s -> s.P.st_inflight_peak
+    | _ -> Alcotest.fail "stats refused"
+  in
+  Client.close c;
+  Alcotest.(check bool)
+    (Printf.sprintf "in-flight peak %d >= 64" peak)
+    true (peak >= 64)
+
+let test_live_traced () =
+  let c = connect () in
+  for i = 0 to 2 do
+    let cold seed = P.Plan (live_spec ~no_cache:true 300 seed) in
+    let untraced = call c (cold (3000 + (2 * i))) in
+    let traced = call ~trace:true c (cold (3001 + (2 * i))) in
+    Alcotest.(check bool) "both ok" true (is_ok untraced && is_ok traced);
+    Alcotest.(check bool) "untraced response has no trace" true
+      (untraced.P.rtrace = None);
+    Alcotest.(check bool) "traced response carries the service.plan span" true
+      (match traced.P.rtrace with
+      | Some spans -> List.exists (fun s -> s.P.t_name = "service.plan") spans
+      | None -> false)
+  done;
+  Client.close c
+
+(* Scrapes are answered inline on the event loop, never queued behind
+   compute, so every one succeeds while a deep burst saturates the
+   workers, and the burst itself still loses nothing. *)
+let test_live_scrapes () =
+  let conns = Array.init 4 (fun _ -> connect ()) in
+  let scraped = ref 0 in
+  let scrape () =
+    let mon = connect () in
+    for _ = 1 to 10 do
+      match Client.call mon P.Telemetry with
+      | Ok { P.body = P.Telemetry_r _; _ } -> incr scraped
+      | Ok _ | Error _ -> ()
+    done;
+    Client.close mon
+  in
+  let answered, overloaded, bad =
+    burst ~conns ~total:68 ~seed0:5000 ~meanwhile:scrape
+  in
+  Alcotest.(check int) "every scrape answered" 10 !scraped;
+  Alcotest.(check int) "zero dropped" 68 answered;
+  Alcotest.(check int) "zero overloaded" 0 overloaded;
+  Alcotest.(check int) "zero failed" 0 bad
+
+let test_live_errors () =
+  let check_code name line ~id code =
+    let _, r = raw_roundtrip line in
+    Alcotest.(check int) (name ^ " id") id r.P.rid;
+    Alcotest.(check string) name (P.error_code_to_string code) (error_code r)
+  in
+  check_code "malformed line" "this is not json" ~id:0 P.Bad_request;
+  check_code "future version" {|{"v":99,"id":5,"op":"ping"}|} ~id:5 P.Bad_version;
+  (* The O(n^2) reference engine is a test oracle, not a service. *)
+  check_code "dense engine"
+    {|{"v":1,"id":6,"op":"plan","deploy":{"kind":"uniform","n":50,"seed":1,"side":1000},"power":"global","engine":"dense"}|}
+    ~id:6 P.Bad_request;
+  let c = connect () in
+  Alcotest.(check string) "unknown session"
+    (P.error_code_to_string P.No_such_session)
+    (error_code (call c (P.Churn_remove { session = 424242; node = 0 })));
+  Client.close c
+
+let test_live_churn () =
+  let c = connect () in
+  let sid =
+    match
+      (call c
+         (P.Churn_create
+            {
+              sink = Vec2.make 500.0 500.0;
+              power = `Global;
+              alpha = 3.0;
+              beta = 1.0;
+              gamma = None;
+            }))
+        .P.body
+    with
+    | P.Churn_created sid -> sid
+    | _ -> Alcotest.fail "churn_create refused"
+  in
+  let rng = Wa_util.Rng.create 7 in
+  let adds = 3 in
+  let nodes =
+    List.init adds (fun _ ->
+        let point =
+          Vec2.make (Wa_util.Rng.float rng 1000.0) (Wa_util.Rng.float rng 1000.0)
+        in
+        match (call c (P.Churn_add { session = sid; point })).P.body with
+        | P.Churn_r { node = Some n; _ } -> n
+        | _ -> Alcotest.fail "arrival not scheduled")
+  in
+  (match (call c (P.Churn_info { session = sid })).P.body with
+  | P.Session_r { size; info_valid; _ } ->
+      Alcotest.(check int) "size = sink + arrivals" (adds + 1) size;
+      Alcotest.(check bool) "schedule verified" true info_valid
+  | _ -> Alcotest.fail "churn_info refused");
+  let departure = P.Churn_remove { session = sid; node = List.hd nodes } in
+  (match (call c departure).P.body with
+  | P.Churn_r _ -> ()
+  | _ -> Alcotest.fail "departure not repaired");
+  (match (call c (P.Churn_close { session = sid })).P.body with
+  | P.Churn_closed _ -> ()
+  | _ -> Alcotest.fail "session not closed");
+  Client.close c
+
+(* Accepted work is never dropped: cold plans queued ahead of the
+   shutdown on the same connection are all answered before the
+   acknowledgement, and then the server domain joins. *)
+let test_live_shutdown () =
+  let srv, dom = Lazy.force live in
+  let c = connect () in
+  let pending = 8 in
+  for i = 1 to pending do
+    send c (P.Plan (live_spec ~no_cache:true 300 (7000 + i)))
+  done;
+  send c P.Shutdown;
+  let plans = ref 0 and acked = ref false in
+  for _ = 0 to pending do
+    let r = recv c in
+    match r.P.body with
+    | P.Plan_r _ -> incr plans
+    | P.Shutdown_ok -> acked := true
+    | _ -> Alcotest.failf "unexpected reply: %s" (P.response_to_line r)
+  done;
+  Client.close c;
+  Alcotest.(check int) "queued plans answered" pending !plans;
+  Alcotest.(check bool) "shutdown acknowledged" true !acked;
+  Domain.join dom;
+  print_endline (Server.summary srv)
+
 (* Runner ----------------------------------------------------------------- *)
 
 let () =
@@ -768,5 +1069,17 @@ let () =
         [
           Alcotest.test_case "runs jobs" `Quick test_pool_runs_jobs;
           Alcotest.test_case "backpressure" `Quick test_pool_backpressure;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "ping and greeting" `Quick test_live_ping;
+          Alcotest.test_case "cached beats cold" `Quick test_live_cached;
+          Alcotest.test_case "pipelined 2x50" `Quick test_live_pipelined;
+          Alcotest.test_case "68-request burst" `Quick test_live_burst;
+          Alcotest.test_case "traced responses" `Quick test_live_traced;
+          Alcotest.test_case "scrapes under a burst" `Quick test_live_scrapes;
+          Alcotest.test_case "error envelopes" `Quick test_live_errors;
+          Alcotest.test_case "churn lifecycle" `Quick test_live_churn;
+          Alcotest.test_case "graceful shutdown" `Quick test_live_shutdown;
         ] );
     ]
