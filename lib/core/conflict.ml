@@ -81,9 +81,10 @@ let[@wa.hot] class_radius p th ~li ~cmin ~cmax =
   *. eval p th (Float.max li cmax /. Float.min li cmin)
   *. radius_slack
 
-(* Conflicting neighbors of [i] in class position [c] of the index,
-   found by an exact-radius-bounded grid query.  Ascending ids. *)
-let indexed_neighbors idx p th i c =
+(* Calls [f] on the conflicting neighbors of [i] in class position [c]
+   of the index, found by an exact-radius-bounded grid query, in
+   ascending id order. *)
+let iter_indexed_neighbors idx p th i c f =
   let ls = Link_index.linkset idx in
   let li = Linkset.length ls i in
   let radius =
@@ -91,9 +92,8 @@ let indexed_neighbors idx p th i c =
       ~cmin:(Link_index.class_min_length idx c)
       ~cmax:(Link_index.class_max_length idx c)
   in
-  List.filter
-    (fun j -> conflicting p th ls i j)
-    (Link_index.candidates_within idx ~cls:c i ~radius)
+  Link_index.iter_candidates idx ~cls:c i ~radius (fun j ->
+      if conflicting p th ls i j then f j)
 
 let graph_dense p th ls =
   Wa_obs.Trace.with_span "conflict.build.dense" @@ fun () ->
@@ -123,9 +123,8 @@ let graph_indexed ?index ?domains p th ls =
     let ci = Link_index.class_of_link idx i in
     let acc = ref [] in
     for c = nc - 1 downto ci do
-      List.iter
-        (fun j -> if c > ci || j > i then acc := j :: !acc)
-        (indexed_neighbors idx p th i c)
+      iter_indexed_neighbors idx p th i c (fun j ->
+          if c > ci || j > i then acc := j :: !acc)
     done;
     let js = !acc in
     Wa_obs.Metrics.add m_edges (List.length js);
@@ -212,9 +211,8 @@ let longer_neighbors_indexed idx p th i =
      of a higher class position always have longer lengths but not
      necessarily higher ids, so sort explicitly. *)
   for c = ci to Link_index.class_count idx - 1 do
-    List.iter
-      (fun j -> if j <> i && Linkset.length ls j >= li then acc := j :: !acc)
-      (indexed_neighbors idx p th i c)
+    iter_indexed_neighbors idx p th i c (fun j ->
+        if j <> i && Linkset.length ls j >= li then acc := j :: !acc)
   done;
   List.sort (fun a b -> Int.compare b a) !acc
 

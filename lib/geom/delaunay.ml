@@ -233,6 +233,9 @@ let build_mesh ps =
     let idx = Array.init n Fun.id in
     Array.sort (fun i j -> Int.compare keys.(i) keys.(j)) idx;
     let last = ref root in
+    (* Fan triangle by the start / end vertex of its boundary edge,
+       -1 when none; indexed by vertex id, super vertices included. *)
+    let by_start = Array.make (n + 3) (-1) and by_end = Array.make (n + 3) (-1) in
     let bad = ref [] in
     let stack = ref [] in
     for k = 0 to n - 1 do
@@ -283,9 +286,9 @@ let build_mesh ps =
         !bad;
       (* Fan the boundary polygon around p.  Each boundary vertex
          starts exactly one directed boundary edge and ends exactly
-         one, so hashing by endpoints links the fan's internal
+         one, so indexing the fan triangles by the start and the end
+         vertex of their boundary edge links the fan's internal
          adjacency in one pass. *)
-      let by_start = Hashtbl.create 16 and by_end = Hashtbl.create 16 in
       let fresh =
         List.map
           (fun (u, v, outer) ->
@@ -301,8 +304,8 @@ let build_mesh ps =
                 then mesh.adj.(ob + e) <- t
               done
             end;
-            Hashtbl.replace by_start u t;
-            Hashtbl.replace by_end v t;
+            by_start.(u) <- t;
+            by_end.(v) <- t;
             (t, u, v))
           !boundary
       in
@@ -311,12 +314,15 @@ let build_mesh ps =
           (* Edge 1 runs (v, p): its mate is the fan triangle whose
              boundary edge starts at v.  Edge 2 runs (p, u): mate ends
              at u. *)
-          (match Hashtbl.find_opt by_start v with
-          | Some t' -> mesh.adj.((3 * t) + 1) <- t'
-          | None -> ());
-          match Hashtbl.find_opt by_end u with
-          | Some t' -> mesh.adj.((3 * t) + 2) <- t'
-          | None -> ())
+          if by_start.(v) >= 0 then mesh.adj.((3 * t) + 1) <- by_start.(v);
+          if by_end.(u) >= 0 then mesh.adj.((3 * t) + 2) <- by_end.(u))
+        fresh;
+      (* Reset only the entries this fan set, so the arrays are all -1
+         again for the next insertion. *)
+      List.iter
+        (fun (_, u, v) ->
+          by_start.(u) <- -1;
+          by_end.(v) <- -1)
         fresh;
       (match fresh with (t, _, _) :: _ -> last := t | [] -> ())
     done;

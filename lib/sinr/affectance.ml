@@ -170,11 +170,11 @@ let mst_longer_pressure ?index ?tol (p : Params.t) ls i =
          most the class maximum, so beyond class_max·(n/tol)^(1/α) its
          term (lj/d)^α is under that floor; at most n terms are
          dropped in total, so the result sits within [tol] of the
-         exact sum.  Class grids use the class maximum as cell size,
-         so the query always sweeps (2·scale+1)² cells per endpoint:
-         when that exceeds the class population the class is summed
-         exactly instead — never slower and never less accurate than
-         the truncated query. *)
+         exact sum.  A query of radius class_max·scale sweeps on the
+         order of scale² cells (the class grid's cells are a small
+         multiple of the class maximum): when (2·scale+1)² exceeds the
+         class population the class is summed exactly instead — never
+         slower and never less accurate than the truncated query. *)
       let scale =
         match tol with
         | None -> infinity
@@ -197,8 +197,7 @@ let mst_longer_pressure ?index ?tol (p : Params.t) ls i =
         in
         if selective then
           let radius = Link_index.class_max_length idx c *. scale in
-          List.iter accumulate
-            (Link_index.candidates_within idx ~cls:c i ~radius)
+          Link_index.iter_candidates idx ~cls:c i ~radius accumulate
         else Array.iter accumulate members
       done;
       !total

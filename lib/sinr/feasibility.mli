@@ -36,3 +36,18 @@ val margin :
   Params.t -> Linkset.t -> power:float array -> int list -> float
 (** Minimum over the slot of [sinr/beta]; >= 1 iff feasible.  Useful
     for reporting how close a slot is to the threshold. *)
+
+val gain_matrix : Params.t -> Linkset.t -> int array -> float array * float array
+(** [gain_matrix p ls ids] is the normalized gain matrix [M] of the
+    slot [ids] under power control, flat row-major (k·k floats, k = the
+    length of [ids]): entry [a*k + b] is [beta·l_a^alpha / d(s_b, r_a)^alpha],
+    the interference unit power on [ids.(b)] causes at the receiver of
+    [ids.(a)] relative to its own signal, [infinity] when that sender
+    sits on the receiver, and [0.] on the diagonal — paired with its
+    row sums [M·1], each summed in ascending column order.  [ids] must
+    hold distinct link ids. *)
+
+val row_sums_below_one : Params.t -> Linkset.t -> int array -> bool
+(** [true] iff every row of [gain_matrix p ls ids] sums below 1 (no
+    entry infinite), evaluated row by row without building the matrix
+    and stopping at the first failing row. *)

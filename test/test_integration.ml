@@ -204,26 +204,43 @@ let test_noise_robustness () =
     (Pipeline.slots noisy_plan <= (3 * Pipeline.slots quiet_plan) + 2)
 
 (* Exact per-seed counts: the plan is deterministic for a fixed
-   deployment, so slots, colors before repair, repair slots and the
-   conflict graph's edge count repeat run for run.  Any change to
-   these numbers is a change to what the pipeline computes, and must
-   be deliberate.  Allocation is left out: it varies with the domain
-   fan-out and the compiler version. *)
+   deployment, so slots, colors before repair, repair slots, the
+   conflict graph's edge count and the slot partition itself repeat
+   run for run.  Any change to these numbers is a change to what the
+   pipeline computes, and must be deliberate.  The partition is pinned
+   as the MD5 of its printed slot lists ([slots_digest]), so a rewrite
+   of a kernel on the plan path that moves even one link between slots
+   fails here.  The disk instance is the one pin whose raw coloring
+   fails validation, so split and merge run on it.  Allocation is left
+   out: it varies with the domain fan-out and the compiler version. *)
+let slots_digest plan =
+  plan.Pipeline.schedule.Schedule.slots
+  |> Array.to_list
+  |> List.map (fun slot -> String.concat "," (List.map string_of_int slot))
+  |> String.concat ";" |> Digest.string |> Digest.to_hex
+
 let exact_counts =
-  (* (n, mode, seed, slots, raw_colors, repair_added, conflict edges) *)
+  (* (deploy, n, mode, seed, slots, raw_colors, repair_added, conflict
+     edges, slots digest) *)
   [
-    (1500, `Global, 1, 8, 8, 0, 3968);
-    (1500, `Global, 2, 7, 7, 0, 3886);
-    (1500, `Global, 3, 8, 8, 0, 3928);
-    (300, `Oblivious 0.5, 1, 10, 10, 0, 1334);
-    (300, `Oblivious 0.5, 2, 9, 9, 0, 1329);
-    (300, `Oblivious 0.5, 3, 9, 9, 0, 1278);
+    (`Square, 1500, `Global, 1, 8, 8, 0, 3968, "c9c1957b78dfd45785bbe87210d845e1");
+    (`Square, 1500, `Global, 2, 7, 7, 0, 3886, "9663efae6ccb45abda237d880edfa70e");
+    (`Square, 1500, `Global, 3, 8, 8, 0, 3928, "0580d56275eebc741464208c7851bf40");
+    (`Square, 300, `Oblivious 0.5, 1, 10, 10, 0, 1334, "8e29aa39de77e2abe22aff5b7b1af499");
+    (`Square, 300, `Oblivious 0.5, 2, 9, 9, 0, 1329, "945c795db41fe6161dff063e82ac32bb");
+    (`Square, 300, `Oblivious 0.5, 3, 9, 9, 0, 1278, "c7cb802d475100fbc7daf6bf0b815b9a");
+    (`Disk, 3000, `Global, 1, 9, 8, 1, 7855, "0a42ed65787a655051c855cbfe23a4df");
   ]
 
 let test_exact_counts () =
   List.iter
-    (fun (n, mode, seed, slots, raw_colors, repair_added, edges) ->
-      let ps = Random_deploy.uniform_square (Rng.create seed) ~n ~side:1000.0 in
+    (fun (deploy, n, mode, seed, slots, raw_colors, repair_added, edges, digest) ->
+      let rng = Rng.create seed in
+      let ps =
+        match deploy with
+        | `Square -> Random_deploy.uniform_square rng ~n ~side:1000.0
+        | `Disk -> Random_deploy.uniform_disk rng ~n ~radius:500.0
+      in
       let plan = Pipeline.plan ~params:p mode ps in
       let graph =
         Greedy_schedule.conflict_graph p plan.Pipeline.agg.Agg_tree.links
@@ -236,8 +253,66 @@ let test_exact_counts () =
       Alcotest.(check int) (what "repair added") repair_added
         plan.Pipeline.repair_added;
       Alcotest.(check int) (what "conflict edges") edges
-        (Wa_graph.Graph.edge_count graph))
+        (Wa_graph.Graph.edge_count graph);
+      Alcotest.(check string) (what "slots digest") digest (slots_digest plan))
     exact_counts
+
+(* Allocation gates.  Allocated words are deterministic for a fixed
+   input and build, and a boxed float or a hash-table probe in one of
+   the flat pair loops costs words per pair, so a tight bound catches
+   a reintroduced box that wall time on a noisy host would not.  The
+   bounds sit at about twice the measured value; the value before the
+   loops went flat is given beside each. *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let pinned_plan () =
+  let ps = Random_deploy.uniform_square (Rng.create 1) ~n:1500 ~side:1000.0 in
+  Pipeline.plan ~params:p `Global ps
+
+let test_solve_allocation () =
+  let plan = pinned_plan () in
+  let ls = plan.Pipeline.agg.Agg_tree.links in
+  (* The largest slot, k = 347: the row-sum screen fails on it, so
+     the solve builds the 347×347 gain matrix (120k words) and
+     certifies it by the Collatz–Wielandt iteration. *)
+  let slot =
+    Array.fold_left
+      (fun best s -> if List.length s > List.length best then s else best)
+      [] plan.Pipeline.schedule.Schedule.slots
+  in
+  let o, words =
+    allocated_words (fun () -> Wa_sinr.Power_solver.solve p ls slot)
+  in
+  Alcotest.(check bool) "slot certified" true o.Wa_sinr.Power_solver.feasible;
+  (* 158,542 words measured; 1,146,660 while the gain kernel took
+     every distance boxed from [Linkset.sender_to_receiver] and
+     [has_infinite] passed every entry boxed to a closure. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "solve allocated %.0f words (bound 320000)" words)
+    true (words <= 320_000.0)
+
+let test_conflict_allocation () =
+  let plan = pinned_plan () in
+  let ls = plan.Pipeline.agg.Agg_tree.links in
+  let th =
+    Option.get (Greedy_schedule.threshold_for Greedy_schedule.Global_power)
+  in
+  let index = Wa_sinr.Link_index.build ls in
+  let g, words =
+    allocated_words (fun () ->
+        Wa_core.Conflict.graph_indexed ~index ~domains:1 p th ls)
+  in
+  Alcotest.(check int) "edges" 3968 (Wa_graph.Graph.edge_count g);
+  (* 331,711 words measured; 1,885,171 while the class grids were
+     hash tables keyed by boxed cell tuples and every query built and
+     sorted candidate lists. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "conflict graph allocated %.0f words (bound 660000)" words)
+    true (words <= 660_000.0)
 
 let () =
   Alcotest.run "wa_integration"
@@ -255,5 +330,10 @@ let () =
           Alcotest.test_case "grid constant" `Quick test_grid_constant;
           Alcotest.test_case "noise robustness" `Quick test_noise_robustness;
           Alcotest.test_case "exact per-seed counts" `Quick test_exact_counts;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "slot solve" `Quick test_solve_allocation;
+          Alcotest.test_case "conflict graph" `Quick test_conflict_allocation;
         ] );
     ]

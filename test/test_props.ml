@@ -17,6 +17,7 @@ module Simulator = Wa_core.Simulator
 module Pipeline = Wa_core.Pipeline
 module Pointset = Wa_geom.Pointset
 module Vec2 = Wa_geom.Vec2
+module Grid_index = Wa_geom.Grid_index
 module Mst = Wa_graph.Mst
 module Rng = Wa_util.Rng
 module Random_deploy = Wa_instances.Random_deploy
@@ -416,6 +417,470 @@ let prop_refinement_approx_brackets_exact =
            (approx.Refinement.max_pressure -. exact.Refinement.max_pressure)
          <= approx.Refinement.error_bound +. 1e-9)
 
+(* Record-based reference of the slot solver: the gain matrix, the
+   ground-truth SINR and every step of [Power_solver.solve] written over
+   [Link.sender_to_receiver] and [Params.alpha_pow], with the
+   one-row-at-a-time mat-vec and the closure-based folds the flat
+   kernels replaced.  The flat paths must agree with it bit for bit:
+   the same verdicts, the same radius bits, the same iteration counts,
+   the same witnesses. *)
+module Ref_solver = struct
+  let pow_len p ls i = Params.alpha_pow p (Linkset.length ls i)
+
+  let s_to_r ls j i = Link.sender_to_receiver (Linkset.link ls j) (Linkset.link ls i)
+
+  let gain p ls ids =
+    let k = Array.length ids in
+    let pow = Params.alpha_pow p in
+    let m = Array.make (k * k) 0.0 in
+    for a = 0 to k - 1 do
+      let la = pow_len p ls ids.(a) in
+      for b = 0 to k - 1 do
+        if a <> b then begin
+          let d = s_to_r ls ids.(b) ids.(a) in
+          m.((a * k) + b) <-
+            (if d <= 0.0 then infinity else p.Params.beta *. la /. pow d)
+        end
+      done
+    done;
+    m
+
+  let sinr p ls ~power ~concurrent i =
+    let pow = Params.alpha_pow p in
+    let signal = power.(i) /. pow_len p ls i in
+    let interference =
+      List.fold_left
+        (fun acc j ->
+          if j = i then acc
+          else
+            let d = s_to_r ls j i in
+            if d > 0.0 then acc +. (power.(j) /. pow d) else infinity)
+        0.0 concurrent
+    in
+    let denom = interference +. p.Params.noise in
+    if Float.equal denom 0.0 then infinity else signal /. denom
+
+  let row_sums_below_one p ls ids =
+    let k = Array.length ids in
+    let m = gain p ls ids in
+    let ok = ref true in
+    for a = 0 to k - 1 do
+      let row = ref 0.0 in
+      for b = 0 to k - 1 do
+        if a <> b then
+          if Float.equal m.((a * k) + b) infinity then ok := false
+          else begin
+            row := !row +. m.((a * k) + b);
+            if !row >= 1.0 then ok := false
+          end
+      done
+    done;
+    !ok
+
+  let mat_vec k m x y =
+    for a = 0 to k - 1 do
+      let acc = ref 0.0 in
+      for b = 0 to k - 1 do
+        acc := !acc +. (m.((a * k) + b) *. x.(b))
+      done;
+      y.(a) <- !acc
+    done
+
+  let inf_norm x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
+
+  let estimate_rho k m =
+    if k = 0 then 0.0
+    else if Array.exists (fun v -> not (Float.is_finite v)) m then infinity
+    else begin
+      let x = ref (Array.make k 1.0) and y = Array.make k 0.0 in
+      let rho = ref 0.0 in
+      (try
+         for _ = 1 to 40 do
+           mat_vec k m !x y;
+           let n = inf_norm y in
+           if Float.equal n 0.0 then begin
+             rho := 0.0;
+             raise Exit
+           end;
+           rho := n;
+           x := Array.map (fun v -> v /. n) y
+         done
+       with Exit -> ());
+      !rho
+    end
+
+  type cw = Feasible of float array * float * int | Infeasible of float * int
+          | Unknown of float * int
+
+  let cw_decide k m =
+    let x = Array.make k 1.0 and y = Array.make k 0.0 in
+    let verdict = ref None and iters = ref 0 in
+    let best_hi = ref infinity and best_lo = ref 0.0 and stall = ref 0 in
+    while Option.is_none !verdict && !iters < 60 do
+      incr iters;
+      mat_vec k m x y;
+      let lo = ref infinity and hi = ref 0.0 in
+      for a = 0 to k - 1 do
+        let r = y.(a) /. x.(a) in
+        if r < !lo then lo := r;
+        if r > !hi then hi := r
+      done;
+      if Float.is_nan !lo || Float.is_nan !hi then
+        verdict := Some (Unknown (!best_lo, !iters))
+      else if !hi < 1.0 then verdict := Some (Feasible (Array.copy x, !hi, !iters))
+      else if !lo >= 1.0 then verdict := Some (Infeasible (!lo, !iters))
+      else begin
+        let improved = !hi < 0.999 *. !best_hi || !lo > 1.001 *. !best_lo in
+        if !hi < !best_hi then best_hi := !hi;
+        if !lo > !best_lo then best_lo := !lo;
+        if improved then stall := 0
+        else begin
+          incr stall;
+          if !stall >= 3 then verdict := Some (Unknown (!best_lo, !iters))
+        end;
+        if Option.is_none !verdict then begin
+          let n = inf_norm y in
+          if Float.equal n 0.0 then verdict := Some (Feasible (Array.copy x, 0.0, !iters))
+          else begin
+            for a = 0 to k - 1 do
+              y.(a) <- y.(a) +. x.(a)
+            done;
+            let n = Float.max n (inf_norm y) in
+            for a = 0 to k - 1 do
+              x.(a) <- Float.max (y.(a) /. n) 1e-300
+            done
+          end
+        end
+      end
+    done;
+    Option.value ~default:(Unknown (!best_lo, 60)) !verdict
+
+  let solve_linear k m c =
+    let a =
+      Array.init k (fun i ->
+          Array.init (k + 1) (fun j ->
+              if j = k then c.(i)
+              else if i = j then 1.0 -. m.((i * k) + j)
+              else -.m.((i * k) + j)))
+    in
+    let ok = ref true in
+    (try
+       for col = 0 to k - 1 do
+         let pivot = ref col in
+         for r = col + 1 to k - 1 do
+           if Float.abs a.(r).(col) > Float.abs a.(!pivot).(col) then pivot := r
+         done;
+         if Float.abs a.(!pivot).(col) < 1e-300 then begin
+           ok := false;
+           raise Exit
+         end;
+         if !pivot <> col then begin
+           let tmp = a.(col) in
+           a.(col) <- a.(!pivot);
+           a.(!pivot) <- tmp
+         end;
+         for r = col + 1 to k - 1 do
+           let f = a.(r).(col) /. a.(col).(col) in
+           if not (Float.equal f 0.0) then
+             for j = col to k do
+               a.(r).(j) <- a.(r).(j) -. (f *. a.(col).(j))
+             done
+         done
+       done
+     with Exit -> ());
+    if not !ok then None
+    else begin
+      let x = Array.make k 0.0 in
+      for i = k - 1 downto 0 do
+        let acc = ref a.(i).(k) in
+        for j = i + 1 to k - 1 do
+          acc := !acc -. (a.(i).(j) *. x.(j))
+        done;
+        x.(i) <- !acc /. a.(i).(i)
+      done;
+      if Array.for_all Float.is_finite x then Some x else None
+    end
+
+  let outcome ~feasible ~rho ~iterations power =
+    { Power_solver.feasible; spectral_radius = rho; iterations; power }
+
+  let verified p ls slot ids x ~rho ~iterations =
+    let full = Array.make (Linkset.size ls) 1.0 in
+    Array.iteri (fun a id -> full.(id) <- x.(a)) ids;
+    if
+      List.for_all
+        (fun i ->
+          sinr p ls ~power:full ~concurrent:slot i
+          >= p.Params.beta *. (1.0 -. 1e-9))
+        slot
+    then Some (outcome ~feasible:true ~rho ~iterations (Some full))
+    else None
+
+  let noise_scale p ls ids m x =
+    if p.Params.noise <= 0.0 then 1.0
+    else begin
+      let k = Array.length ids in
+      let y = Array.make k 0.0 in
+      mat_vec k m x y;
+      let s = ref 1.0 in
+      for a = 0 to k - 1 do
+        let slack = x.(a) -. y.(a) in
+        if slack > 0.0 then
+          s :=
+            Float.max !s
+              (p.Params.beta *. p.Params.noise *. pow_len p ls ids.(a) /. slack)
+      done;
+      2.0 *. !s
+    end
+
+  let solve_exact p ls slot ids m ~rho ~iterations =
+    let k = Array.length ids in
+    let c =
+      Array.init k (fun a ->
+          let la = pow_len p ls ids.(a) in
+          Float.max (p.Params.beta *. p.Params.noise *. la) la)
+    in
+    let infeasible = outcome ~feasible:false ~rho ~iterations None in
+    match solve_linear k m c with
+    | Some x when Array.for_all (fun v -> v > 0.0) x ->
+        Option.value ~default:infeasible (verified p ls slot ids x ~rho ~iterations)
+    | Some _ | None -> infeasible
+
+  let solve ~quick p ls slot =
+    match List.sort_uniq Int.compare slot with
+    | [] -> outcome ~feasible:true ~rho:0.0 ~iterations:0 None
+    | slot -> (
+        let ids = Array.of_list slot in
+        let k = Array.length ids in
+        let m = gain p ls ids in
+        if Array.exists (fun v -> not (Float.is_finite v)) m then
+          outcome ~feasible:false ~rho:infinity ~iterations:0 None
+        else
+          match cw_decide k m with
+          | Infeasible (lo, it) -> outcome ~feasible:false ~rho:lo ~iterations:it None
+          | Feasible (x, hi, it) when p.Params.noise <= 0.0 && hi <= 0.99 ->
+              let full = Array.make (Linkset.size ls) 1.0 in
+              Array.iteri (fun a id -> full.(id) <- x.(a)) ids;
+              outcome ~feasible:true ~rho:hi ~iterations:it (Some full)
+          | Feasible (x, hi, it) -> (
+              let s = noise_scale p ls ids m x in
+              let x = Array.map (fun v -> s *. v) x in
+              match verified p ls slot ids x ~rho:hi ~iterations:it with
+              | Some o -> o
+              | None -> solve_exact p ls slot ids m ~rho:hi ~iterations:it)
+          | Unknown (lo, it) when quick ->
+              outcome ~feasible:false ~rho:lo ~iterations:it None
+          | Unknown (_, it) ->
+              solve_exact p ls slot ids m ~rho:(estimate_rho k m) ~iterations:it)
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_float_arrays a b =
+  Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+(* Slot-solver instances: the MST links of a pressure instance under one
+   of four parameter sets (default, noisy, alpha = 4, alpha = 3.5), and
+   as slots its greedy Garb color classes — mostly feasible, some close
+   to rho = 1 — plus each class merged with the next, whole (links that
+   share a node make the matrix infinite) and restricted to the links
+   sharing no node with it (mostly infeasible, some undecided). *)
+let gen_solver_instance =
+  QCheck.make
+    ~print:(fun ((seed, n, kind), pk) ->
+      Printf.sprintf "seed=%d n=%d kind=%d params=%d" seed n kind pk)
+    QCheck.Gen.(
+      pair
+        (map
+           (fun (seed, n, kind) -> (seed, 8 + (abs n mod 60), abs kind mod 3))
+           (triple (int_bound 100000) int int))
+        (int_bound 3))
+
+let solver_params = function
+  | 0 -> Params.default
+  | 1 -> Params.make ~noise:1e-7 ()
+  | 2 -> Params.make ~alpha:4.0 ()
+  | _ -> Params.make ~alpha:3.5 ~beta:1.5 ()
+
+let solver_slots p ls =
+  let g = Greedy_schedule.conflict_graph p ls Greedy_schedule.Global_power in
+  let classes =
+    Array.to_list
+      (Wa_graph.Coloring.classes
+         (Wa_graph.Coloring.greedy ~order:(Linkset.by_decreasing_length ls) g))
+  in
+  let apart a j =
+    List.for_all
+      (fun i ->
+        not (Link.shares_endpoint (Linkset.link ls i) (Linkset.link ls j)))
+      a
+  in
+  let rec unions = function
+    | a :: (b :: _ as rest) ->
+        (a @ b) :: (a @ List.filter (apart a) b) :: unions rest
+    | [ _ ] | [] -> []
+  in
+  classes @ unions classes
+
+let prop_gain_and_sinr_match_record =
+  QCheck.Test.make ~count:60
+    ~name:"flat gain matrix, row sums and SINR equal the record oracle bit-for-bit"
+    gen_solver_instance (fun (input, pk) ->
+      let p = solver_params pk in
+      let ls = pressure_linkset_of input in
+      let power = Array.init (Linkset.size ls) (fun i -> 1.0 +. float_of_int (i mod 7)) in
+      List.for_all
+        (fun slot ->
+          let ids = Array.of_list (List.sort_uniq Int.compare slot) in
+          let m, row_sums = Feasibility.gain_matrix p ls ids in
+          let ref_m = Ref_solver.gain p ls ids in
+          let ref_sums = Array.make (Array.length ids) 0.0 in
+          Ref_solver.mat_vec (Array.length ids) ref_m
+            (Array.make (Array.length ids) 1.0)
+            ref_sums;
+          same_float_arrays m ref_m
+          && same_float_arrays row_sums ref_sums
+          && Bool.equal
+               (Feasibility.row_sums_below_one p ls ids)
+               (Ref_solver.row_sums_below_one p ls ids)
+          && List.for_all
+               (fun i ->
+                 same_bits
+                   (Feasibility.sinr p ls ~power ~concurrent:slot i)
+                   (Ref_solver.sinr p ls ~power ~concurrent:slot i))
+               slot)
+        (solver_slots p ls))
+
+let prop_solve_matches_record =
+  QCheck.Test.make ~count:60
+    ~name:"Power_solver.solve equals the record-based solver bit-for-bit"
+    gen_solver_instance (fun (input, pk) ->
+      let p = solver_params pk in
+      let ls = pressure_linkset_of input in
+      List.for_all
+        (fun slot ->
+          List.for_all
+            (fun quick ->
+              let got = Power_solver.solve ~quick p ls slot in
+              let want = Ref_solver.solve ~quick p ls slot in
+              Bool.equal got.Power_solver.feasible want.Power_solver.feasible
+              && same_bits got.Power_solver.spectral_radius
+                   want.Power_solver.spectral_radius
+              && got.Power_solver.iterations = want.Power_solver.iterations
+              &&
+              match (got.Power_solver.power, want.Power_solver.power) with
+              | None, None -> true
+              | Some a, Some b -> same_float_arrays a b
+              | Some _, None | None, Some _ -> false)
+            [ false; true ])
+        (solver_slots p ls))
+
+(* Grid oracle: point sets that stress a spatial hash — uniform,
+   clustered, collinear, heavy duplicates, points sitting on cell
+   edges (coordinates and radii integer multiples of the cell side),
+   all straddling the origin so cells go negative, and points near
+   ±1e18, whose cell coordinates lie beyond the grid's ±2^50 clamp. *)
+let gen_grid_instance =
+  QCheck.make
+    ~print:(fun (seed, n, kind) -> Printf.sprintf "seed=%d n=%d kind=%d" seed n kind)
+    QCheck.Gen.(
+      map
+        (fun (seed, n, kind) -> (seed, 1 + (abs n mod 80), abs kind mod 6))
+        (triple (int_bound 100000) int int))
+
+let grid_points (seed, n, kind) =
+  let rng = Rng.create (seed + (97 * kind)) in
+  let cell = Rng.float_range rng 0.5 20.0 in
+  let u () = Rng.float_range rng (-50.0) 50.0 in
+  let pts =
+    match kind with
+    | 0 -> Array.init n (fun _ -> Vec2.make (u ()) (u ()))
+    | 1 ->
+        let centers = Array.init 3 (fun _ -> Vec2.make (u ()) (u ())) in
+        Array.init n (fun _ ->
+            let c = Rng.pick rng centers in
+            Vec2.make
+              (c.Vec2.x +. (0.3 *. Rng.gaussian rng))
+              (c.Vec2.y +. (0.3 *. Rng.gaussian rng)))
+    | 2 ->
+        Array.init n (fun _ ->
+            let t = u () in
+            Vec2.make t ((-0.5 *. t) +. 3.0))
+    | 3 ->
+        let base = Array.init (1 + (n / 8)) (fun _ -> Vec2.make (u ()) (u ())) in
+        Array.init n (fun _ -> Rng.pick rng base)
+    | 4 ->
+        let edge () = cell *. float_of_int (Rng.int rng 11 - 5) in
+        Array.init n (fun _ -> Vec2.make (edge ()) (edge ()))
+    | _ ->
+        (* 128 is the float spacing at 1e18. *)
+        let far () =
+          (if Rng.bool rng then 1e18 else -1e18)
+          +. (128.0 *. float_of_int (Rng.int rng 4))
+        in
+        Array.init n (fun _ -> Vec2.make (far ()) (far ()))
+  in
+  let radii =
+    [ 0.0; cell; 2.0 *. cell; Rng.float rng (3.0 *. cell); Rng.float rng 200.0 ]
+  in
+  let probes =
+    Array.to_list pts
+    @ List.init 6 (fun _ -> Vec2.make (u ()) (u ()))
+    @ [ Vec2.make (-.cell) cell; Vec2.make 0.0 0.0; Vec2.make 1e18 (-1e18) ]
+  in
+  (Grid_index.build ~cell_size:cell pts, pts, radii, probes)
+
+let brute_within pts q r =
+  List.filter (fun i -> Vec2.dist pts.(i) q <= r) (List.init (Array.length pts) Fun.id)
+
+let prop_grid_matches_brute =
+  QCheck.Test.make ~count:200
+    ~name:"flat grid range and nearest queries equal a brute-force scan"
+    gen_grid_instance (fun input ->
+      let g, pts, radii, probes = grid_points input in
+      let n = Array.length pts in
+      let within_ok =
+        List.for_all
+          (fun q ->
+            List.for_all
+              (fun r ->
+                List.equal Int.equal
+                  (List.sort Int.compare (Grid_index.neighbors_within g q r))
+                  (brute_within pts q r))
+              radii)
+          probes
+      in
+      let either_ok =
+        List.for_all
+          (fun (q1, q2) ->
+            List.for_all
+              (fun r ->
+                let got = ref [] in
+                Grid_index.iter_within_either g q1.Vec2.x q1.Vec2.y q2.Vec2.x
+                  q2.Vec2.y r (fun i -> got := i :: !got);
+                List.equal Int.equal (List.sort Int.compare !got)
+                  (List.sort_uniq Int.compare
+                     (brute_within pts q1 r @ brute_within pts q2 r)))
+              radii)
+          (List.combine probes (List.rev probes))
+      in
+      let nearest_ok =
+        List.for_all
+          (fun i ->
+            let others = List.filter (fun j -> j <> i) (List.init n Fun.id) in
+            match (Grid_index.nearest g ~exclude:i pts.(i), others) with
+            | None, [] -> true
+            | Some j, _ :: _ ->
+                j <> i
+                && Float.equal (Vec2.dist pts.(i) pts.(j))
+                     (List.fold_left
+                        (fun acc o -> Float.min acc (Vec2.dist pts.(i) pts.(o)))
+                        infinity others)
+            | None, _ :: _ | Some _, [] -> false)
+          (List.init n Fun.id)
+      in
+      within_ok && either_ok && nearest_ok)
+
 let prop_tdma_always_valid =
   QCheck.Test.make ~count:30 ~name:"naive TDMA is always valid" gen_pointset
     (fun input ->
@@ -447,6 +912,9 @@ let () =
             prop_far_field_certified;
             prop_refinement_approx_brackets_exact;
             prop_tdma_always_valid;
+            prop_gain_and_sinr_match_record;
+            prop_solve_matches_record;
+            prop_grid_matches_brute;
             prop_periodic_of_schedule_consistent;
             prop_monoid_aggregation_correct;
             prop_kconnect_trees_disjoint_and_spanning;
