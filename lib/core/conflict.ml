@@ -49,13 +49,43 @@ let[@wa.hot] eval (p : Params.t) th x =
       *. Float.max 1.0
            (Growth.log2 x ** (2.0 /. (p.Params.alpha -. 2.0)))
 
+(* [Linkset.dist], inlined over the struct-of-arrays: under [-opaque]
+   the call would return every distance boxed.  The fast path is
+   [Linkset.dist]'s own (the root of the least squared endpoint
+   distance); anything outside its guard takes [Linkset.dist] itself,
+   so the value is the same bits either way. *)
+let[@inline] [@wa.hot] link_dist ls i j =
+  let sx = Linkset.sender_xs ls and sy = Linkset.sender_ys ls in
+  let rx = Linkset.receiver_xs ls and ry = Linkset.receiver_ys ls in
+  let sxi = sx.(i) and syi = sy.(i) and rxi = rx.(i) and ryi = ry.(i) in
+  let sxj = sx.(j) and syj = sy.(j) and rxj = rx.(j) and ryj = ry.(j) in
+  let dx1 = sxi -. sxj and dy1 = syi -. syj in
+  let dx2 = sxi -. rxj and dy2 = syi -. ryj in
+  let dx3 = rxi -. sxj and dy3 = ryi -. syj in
+  let dx4 = rxi -. rxj and dy4 = ryi -. ryj in
+  let ss = (dx1 *. dx1) +. (dy1 *. dy1) in
+  let sr = (dx2 *. dx2) +. (dy2 *. dy2) in
+  let rs = (dx3 *. dx3) +. (dy3 *. dy3) in
+  let rr = (dx4 *. dx4) +. (dy4 *. dy4) in
+  let m = Float.min (Float.min ss sr) (Float.min rs rr) in
+  if m >= 1e-300 && m < 1e300 then sqrt m else Linkset.dist ls i j
+
+(* d/lmin <= f(lmax/lmin).  Every threshold has f >= gamma for finite
+   ratios — [Constant] is gamma, and [Log_power]'s [max 1.0] makes the
+   product at least gamma·1 under any rounding — so d/lmin <= gamma
+   decides the pair without evaluating f.  [Power_law] keeps [eval]:
+   its [**] may round below 1.  The [lmax] guard keeps the one
+   non-finite case (both lengths infinite, ratio NaN) on [eval]. *)
 let[@wa.hot] conflicting p th ls i j =
   if i = j then false
   else begin
-    let li = Linkset.length ls i and lj = Linkset.length ls j in
+    let lengths = Linkset.lengths ls in
+    let li = lengths.(i) and lj = lengths.(j) in
     let lmin = Float.min li lj and lmax = Float.max li lj in
-    let d = Linkset.dist ls i j in
-    d /. lmin <= eval p th (lmax /. lmin)
+    let r = link_dist ls i j /. lmin in
+    match th with
+    | (Constant gamma | Log_power gamma) when r <= gamma && lmax < infinity -> true
+    | _ -> r <= eval p th (lmax /. lmin)
   end
 
 (* Safe over-estimate of the conflict distance between link [i] (length
@@ -81,19 +111,13 @@ let[@wa.hot] class_radius p th ~li ~cmin ~cmax =
   *. eval p th (Float.max li cmax /. Float.min li cmin)
   *. radius_slack
 
-(* Calls [f] on the conflicting neighbors of [i] in class position [c]
-   of the index, found by an exact-radius-bounded grid query, in
-   ascending id order. *)
-let iter_indexed_neighbors idx p th i c f =
-  let ls = Link_index.linkset idx in
-  let li = Linkset.length ls i in
-  let radius =
-    class_radius p th ~li
-      ~cmin:(Link_index.class_min_length idx c)
-      ~cmax:(Link_index.class_max_length idx c)
-  in
-  Link_index.iter_candidates idx ~cls:c i ~radius (fun j ->
-      if conflicting p th ls i j then f j)
+(* Radius of the candidate query for link [i] against class position
+   [c] of the index. *)
+let query_radius idx p th i c =
+  class_radius p th
+    ~li:(Linkset.length (Link_index.linkset idx) i)
+    ~cmin:(Link_index.class_min_length idx c)
+    ~cmax:(Link_index.class_max_length idx c)
 
 let graph_dense p th ls =
   Wa_obs.Trace.with_span "conflict.build.dense" @@ fun () ->
@@ -119,21 +143,26 @@ let graph_indexed ?index ?domains p th ls =
      the pair.  The per-link metric updates run on whichever worker
      domain computes the link — counters are atomic, so the totals are
      independent of the fan-out. *)
-  let edges_of i =
+  let edges_of scratch i =
     let ci = Link_index.class_of_link idx i in
     let acc = ref [] in
     for c = nc - 1 downto ci do
-      iter_indexed_neighbors idx p th i c (fun j ->
-          if c > ci || j > i then acc := j :: !acc)
+      let k =
+        Link_index.candidates idx scratch ~cls:c i ~radius:(query_radius idx p th i c)
+      in
+      for q = 0 to k - 1 do
+        let j = Link_index.candidate scratch q in
+        if (c > ci || j > i) && conflicting p th ls i j then acc := j :: !acc
+      done
     done;
     let js = !acc in
     Wa_obs.Metrics.add m_edges (List.length js);
     Wa_obs.Metrics.observe m_link_degree (float_of_int (List.length js));
     js
   in
-  let per_link = Parallel.init ?domains n edges_of in
-  let g = Graph.create n in
-  Array.iteri (fun i js -> List.iter (fun j -> Graph.add_edge g i j) js) per_link;
+  (* Pairs are unique by construction, so the rows go straight into
+     the adjacency. *)
+  let g = Graph.of_rows n (Parallel.init_with ?domains n Link_index.scratch edges_of) in
   Wa_obs.Metrics.incr m_builds;
   g
 
@@ -210,9 +239,16 @@ let longer_neighbors_indexed idx p th i =
      descending-id order overall needs descending (class, id) — links
      of a higher class position always have longer lengths but not
      necessarily higher ids, so sort explicitly. *)
+  let scratch = Link_index.scratch () in
   for c = ci to Link_index.class_count idx - 1 do
-    iter_indexed_neighbors idx p th i c (fun j ->
-        if j <> i && Linkset.length ls j >= li then acc := j :: !acc)
+    let k =
+      Link_index.candidates idx scratch ~cls:c i ~radius:(query_radius idx p th i c)
+    in
+    for q = 0 to k - 1 do
+      let j = Link_index.candidate scratch q in
+      if j <> i && Linkset.length ls j >= li && conflicting p th ls i j then
+        acc := j :: !acc
+    done
   done;
   List.sort (fun a b -> Int.compare b a) !acc
 

@@ -59,9 +59,7 @@ let conflict_graph ?gamma ?engine ?index p ls mode =
         | Some `Dense -> Array.init n conflicts_of
         | Some `Indexed | None -> Wa_util.Parallel.init n conflicts_of
       in
-      let g = Graph.create n in
-      Array.iteri (fun i js -> List.iter (fun j -> Graph.add_edge g i j) js) rows;
-      g
+      Graph.of_rows n rows
 
 let coloring ?gamma ?engine ?index p ls mode =
   let g = conflict_graph ?gamma ?engine ?index p ls mode in

@@ -93,8 +93,6 @@ let create config =
   List.iter spawn_member members;
   t
 
-let members t = List.map (fun m -> (m.m_name, m.m_port)) t.members
-
 let backend_addrs t =
   List.map
     (fun m ->

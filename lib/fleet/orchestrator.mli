@@ -31,9 +31,6 @@ type t
 val create : config -> t
 (** Spawn all members (stdin [/dev/null], stdout/stderr inherited). *)
 
-val members : t -> (string * int) list
-(** [(name, port)] per member, fleet order. *)
-
 val backend_addrs : t -> Router.backend_addr list
 (** The members as router backends. *)
 

@@ -7,9 +7,9 @@
 
     The incremental construction uses floating-point incircle
     predicates; on degenerate inputs (e.g. fully collinear pointsets,
-    which have no triangles at all) {!edges} can fail to span — use
-    {!spanning_edges}, which detects this and falls back to the
-    complete graph. *)
+    which have no triangles at all) {!edges} and {!candidates} can
+    fail to span — {!Wa_graph.Mst.euclidean_fast} detects this and
+    falls back to {!complete}. *)
 
 val triangles : Pointset.t -> (int * int * int) list
 (** Triangles of the Delaunay triangulation, each a sorted triple of
@@ -20,17 +20,24 @@ val edges : Pointset.t -> (int * int) list
 (** Unique undirected edges of the triangulation (plus the single
     edge for 2-point inputs), each with [u < v]. *)
 
-val spanning_edges : Pointset.t -> (int * int * float) list
-(** Weighted candidate edges guaranteed to contain an MST: the
-    Delaunay edges when they connect the pointset, the complete graph
-    otherwise (degenerate inputs). *)
+(** Weighted candidate edges in flat arrays: edge [k < count] joins
+    [us.(k) < vs.(k)] and has length [ws.(k)] ([Pointset.dist]).  The
+    arrays may be longer than [count]. *)
+type candidates = { us : int array; vs : int array; ws : float array; count : int }
+
+val candidates : Pointset.t -> candidates
+(** The triangulation's edges (the single edge for 2 points, none for
+    fewer), which contain an MST whenever they connect the pointset.
+    Kruskal breaks weight ties by this order, so it is part of the
+    contract: the reverse of the order in which the mesh adjacency
+    emits the edges (triangles by ascending slot, edges by slot
+    position). *)
+
+val complete : Pointset.t -> candidates
+(** Every pair [u < v], in reverse lexicographic order: the fallback
+    candidate set for degenerate inputs whose triangulation does not
+    span. *)
 
 val is_delaunay : Pointset.t -> (int * int * int) list -> bool
 (** Checks the empty-circumcircle property of every triangle against
     every point (O(T·n); for tests). *)
-
-val scan_count : int ref
-(** Diagnostic: locate-walk fallback scans performed (cumulative). *)
-
-val step_count : int ref
-(** Diagnostic: locate-walk steps performed (cumulative). *)

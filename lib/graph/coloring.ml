@@ -1,8 +1,35 @@
 type t = { colors : int array; classes : int }
 
-let smallest_absent used =
-  let rec go c = if List.mem c used then go (c + 1) else c in
-  go 0
+(* Smallest colour held by none of [adj]: stamp the neighbours'
+   colours into [mark], then scan up from 0.  The stamp is unique per
+   call, so [mark] is never cleared; a vertex has fewer distinct
+   neighbour colours than [Array.length mark], so the scan stops. *)
+let[@wa.hot] rec stamp_colors colors mark stamp adj =
+  match adj with
+  | [] -> ()
+  | u :: rest ->
+      let c = colors.(u) in
+      if c >= 0 then mark.(c) <- stamp;
+      stamp_colors colors mark stamp rest
+
+let[@wa.hot] smallest_absent colors mark stamp adj =
+  stamp_colors colors mark stamp adj;
+  let c = ref 0 in
+  while mark.(!c) = stamp do
+    incr c
+  done;
+  !c
+
+(* First-fit over [order]; returns the number of colours used. *)
+let[@wa.hot] first_fit g order colors mark =
+  let used = ref 0 in
+  for k = 0 to Array.length order - 1 do
+    let v = order.(k) in
+    let c = smallest_absent colors mark (k + 1) (Graph.adjacent g v) in
+    colors.(v) <- c;
+    if c + 1 > !used then used := c + 1
+  done;
+  !used
 
 let greedy ?order g =
   let n = Graph.vertex_count g in
@@ -21,23 +48,12 @@ let greedy ?order g =
         o
   in
   let colors = Array.make n (-1) in
-  let used_max = ref 0 in
-  Array.iter
-    (fun v ->
-      let neighbor_colors =
-        Graph.fold_neighbors
-          (fun u acc -> if colors.(u) >= 0 then colors.(u) :: acc else acc)
-          g v []
-      in
-      let c = smallest_absent neighbor_colors in
-      colors.(v) <- c;
-      if c + 1 > !used_max then used_max := c + 1)
-    order;
-  { colors; classes = (if n = 0 then 0 else !used_max) }
+  let classes = first_fit g order colors (Array.make (n + 1) 0) in
+  { colors; classes }
 
 let dsatur g =
   let n = Graph.vertex_count g in
-  let colors = Array.make n (-1) in
+  let colors = Array.make n (-1) and mark = Array.make (n + 1) 0 in
   let used_max = ref 0 in
   let saturation v =
     let distinct = Hashtbl.create 8 in
@@ -46,7 +62,7 @@ let dsatur g =
       (Graph.neighbors g v);
     Hashtbl.length distinct
   in
-  for _ = 1 to n do
+  for k = 1 to n do
     (* Pick the uncolored vertex with max saturation, then degree, then id. *)
     let best = ref (-1) and best_sat = ref (-1) and best_deg = ref (-1) in
     for v = 0 to n - 1 do
@@ -60,12 +76,7 @@ let dsatur g =
       end
     done;
     let v = !best in
-    let neighbor_colors =
-      Graph.fold_neighbors
-        (fun u acc -> if colors.(u) >= 0 then colors.(u) :: acc else acc)
-        g v []
-    in
-    let c = smallest_absent neighbor_colors in
+    let c = smallest_absent colors mark k (Graph.adjacent g v) in
     colors.(v) <- c;
     if c + 1 > !used_max then used_max := c + 1
   done;

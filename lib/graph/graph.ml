@@ -32,6 +32,22 @@ let of_edges n edge_list =
   List.iter (fun (u, v) -> add_edge t u v) edge_list;
   t
 
+let of_rows n rows =
+  if Array.length rows <> n then invalid_arg "Graph.of_rows: row count";
+  let t = create n in
+  Array.iteri
+    (fun u row ->
+      List.iter
+        (fun v ->
+          check_vertex t v;
+          if u = v then invalid_arg "Graph.of_rows: self-loop";
+          t.adj.(u) <- v :: t.adj.(u);
+          t.adj.(v) <- u :: t.adj.(v);
+          t.edges <- t.edges + 1)
+        row)
+    rows;
+  t
+
 let neighbors t v =
   check_vertex t v;
   List.rev t.adj.(v)
@@ -58,3 +74,7 @@ let edges t =
   List.rev !acc
 
 let fold_neighbors f t v init = List.fold_left (fun acc u -> f u acc) init t.adj.(v)
+
+let adjacent t v =
+  check_vertex t v;
+  t.adj.(v)

@@ -13,6 +13,14 @@ val of_edges : int -> (int * int) list -> t
 (** [of_edges n edges] adds each undirected edge once; self-loops and
     duplicates are rejected with [Invalid_argument]. *)
 
+val of_rows : int -> int list array -> t
+(** [of_rows n rows] adds the edge [(u, v)] for every [v] in
+    [rows.(u)], in row order — the graph [add_edge] builds from the
+    same sequence — without the duplicate scan: the caller guarantees
+    that each unordered pair appears at most once across all rows.
+    Self-loops and out-of-range vertices are rejected with
+    [Invalid_argument]. *)
+
 val vertex_count : t -> int
 val edge_count : t -> int
 
@@ -33,3 +41,7 @@ val iter_edges : (int -> int -> unit) -> t -> unit
 val edges : t -> (int * int) list
 
 val fold_neighbors : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
+
+val adjacent : t -> int -> int list
+(** Neighbours in reverse insertion order, without a copy: for loops
+    whose result does not depend on the order. *)

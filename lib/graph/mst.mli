@@ -16,14 +16,16 @@ val euclidean : Wa_geom.Pointset.t -> (int * int) list
 
 val euclidean_fast : Wa_geom.Pointset.t -> (int * int) list
 (** MST via Kruskal over the Delaunay edges (which always contain an
-    MST) — near-linear instead of O(n²), for large deployments.  On
-    degenerate inputs the Delaunay layer itself falls back to the
-    complete graph, so the result always spans. *)
+    MST) — near-linear instead of O(n²), for large deployments.  When
+    the triangulation of a degenerate input does not span, Kruskal
+    reruns on the complete graph, so the result always spans.  Weight
+    ties are broken by {!Wa_geom.Delaunay.candidates}' order. *)
 
 val kruskal : n:int -> (int * int * float) list -> (int * int) list
 (** [kruskal ~n weighted_edges] returns a minimum spanning forest of
-    the explicit graph: edges sorted by weight, merged with
-    union-find.  Pairs are returned with [u < v]. *)
+    the explicit graph: edges stably sorted by weight ([Float.compare];
+    equal weights keep list order), merged with union-find, in that
+    order.  Pairs are returned with [u < v]. *)
 
 val total_weight : Wa_geom.Pointset.t -> (int * int) list -> float
 (** Sum of Euclidean lengths of the given edges. *)

@@ -13,7 +13,7 @@ let create n =
     count = n;
   }
 
-let rec find t i =
+let[@wa.hot] rec find t i =
   let p = t.parent.(i) in
   if p = i then i
   else begin
@@ -22,11 +22,12 @@ let rec find t i =
     root
   end
 
-let union t i j =
+let[@wa.hot] union t i j =
   let ri = find t i and rj = find t j in
   if ri = rj then false
   else begin
-    let a, b = if t.rank.(ri) >= t.rank.(rj) then (ri, rj) else (rj, ri) in
+    let a = if t.rank.(ri) >= t.rank.(rj) then ri else rj in
+    let b = if a = ri then rj else ri in
     t.parent.(b) <- a;
     t.size.(a) <- t.size.(a) + t.size.(b);
     if t.rank.(a) = t.rank.(b) then t.rank.(a) <- t.rank.(a) + 1;

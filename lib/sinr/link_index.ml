@@ -98,6 +98,14 @@ let push h e =
   h.buf.(h.len) <- e;
   h.len <- h.len + 1
 
+(* A reusable query buffer and the grid callback that fills it, made
+   once so that a query allocates nothing. *)
+type scratch = { hits : hits; on_hit : int -> unit }
+
+let scratch () =
+  let hits = { buf = Array.make 16 0; len = 0 } in
+  { hits; on_hit = (fun e -> push hits (e lsr 1)) }
+
 (* Ascending order.  A query hits a handful of endpoints on MST
    classes, where insertion sort beats [Array.sort]'s merge sort and
    its copy. *)
@@ -124,15 +132,32 @@ let sort_prefix a len =
    hit twice, once per endpoint.  Entry e belongs to the class member
    at position e / 2 and the members are ascending, so sorting the
    positions sorts the links, and duplicates end up adjacent. *)
-let iter_candidates t ~cls i ~radius f =
+let candidates t s ~cls i ~radius =
   check_class t cls;
-  if radius < 0.0 then invalid_arg "Link_index.iter_candidates: negative radius";
+  if radius < 0.0 then invalid_arg "Link_index.candidates: negative radius";
   let c = t.classes.(cls) in
-  let h = { buf = Array.make 16 0; len = 0 } in
+  let h = s.hits in
+  h.len <- 0;
   Grid.iter_within_either c.grid (Linkset.sender_xs t.ls).(i)
     (Linkset.sender_ys t.ls).(i) (Linkset.receiver_xs t.ls).(i)
-    (Linkset.receiver_ys t.ls).(i) radius (fun e -> push h (e lsr 1));
+    (Linkset.receiver_ys t.ls).(i) radius s.on_hit;
   sort_prefix h.buf h.len;
-  for s = 0 to h.len - 1 do
-    if s = 0 || h.buf.(s) <> h.buf.(s - 1) then f c.members.(h.buf.(s))
+  let k = ref 0 and prev = ref (-1) in
+  for q = 0 to h.len - 1 do
+    let e = h.buf.(q) in
+    if e <> !prev then begin
+      h.buf.(!k) <- c.members.(e);
+      incr k;
+      prev := e
+    end
+  done;
+  h.len <- !k;
+  !k
+
+let candidate s k = s.hits.buf.(k)
+
+let iter_candidates t ~cls i ~radius f =
+  let s = scratch () in
+  for k = 0 to candidates t s ~cls i ~radius - 1 do
+    f (candidate s k)
   done

@@ -45,12 +45,27 @@ val class_min_length : t -> int -> float
 val class_max_length : t -> int -> float
 (** Exact longest link length in the class. *)
 
+type scratch
+(** A reusable candidate buffer.  Not shareable across domains: give
+    each domain its own (see {!Wa_util.Parallel.init_with}). *)
+
+val scratch : unit -> scratch
+
+val candidates : t -> scratch -> cls:int -> int -> radius:float -> int
+(** [candidates t s ~cls i ~radius] finds every link [j] of the class
+    at position [cls] with link-to-link distance [d(i,j) <= radius],
+    stores them in [s] in ascending id order and returns their count;
+    [i] itself is included when it qualifies.  Exact (the grid
+    distance-filters endpoint candidates), including for infinite
+    radii, where the grid's brute-force fallback takes over.  The
+    query allocates nothing once [s] has grown to the largest hit
+    count; the next query on [s] overwrites the result. *)
+
+val candidate : scratch -> int -> int
+(** [candidate s k] is the [k]-th link found by the last query on [s]. *)
+
 val iter_candidates :
   t -> cls:int -> int -> radius:float -> (int -> unit) -> unit
-(** [iter_candidates t ~cls i ~radius f] calls [f] once on every link
-    [j] of the class at position [cls] with link-to-link distance
-    [d(i,j) <= radius], in ascending id order; [i] itself is included
-    when it qualifies.  Exact (the grid distance-filters endpoint
-    candidates), including for infinite radii, where the grid's
-    brute-force fallback takes over.  Safe to call from several
-    domains at once: each query allocates its own hit buffer. *)
+(** [iter_candidates t ~cls i ~radius f] calls [f] on each link
+    {!candidates} finds, in ascending id order, through a buffer of
+    its own: safe to call from several domains at once. *)

@@ -25,9 +25,8 @@ type t = {
          single-field store is atomic in the OCaml memory model. *)
 }
 
-let of_array arr =
-  if Array.length arr = 0 then invalid_arg "Linkset.of_array: empty";
-  let links = Array.copy arr in
+(* Takes ownership of [links]. *)
+let of_owned links =
   let n = Array.length links in
   let sx = Array.make n 0.0
   and sy = Array.make n 0.0
@@ -55,18 +54,20 @@ let of_array arr =
     pow_cache = None;
   }
 
+let of_array arr =
+  if Array.length arr = 0 then invalid_arg "Linkset.of_array: empty";
+  of_owned (Array.copy arr)
+
 let of_links l = of_array (Array.of_list l)
 
 let of_tree ps tree =
-  let edges = Tree.directed_edges tree in
-  if List.is_empty edges then
+  let edges = Array.of_list (Tree.directed_edges tree) in
+  if Array.length edges = 0 then
     invalid_arg "Linkset.of_tree: single-vertex tree has no links";
   let links =
-    List.map (fun (c, p) -> Link.make (Pointset.get ps c) (Pointset.get ps p)) edges
+    Array.map (fun (c, p) -> Link.make (Pointset.get ps c) (Pointset.get ps p)) edges
   in
-  let children = Array.of_list (List.map fst edges) in
-  let t = of_links links in
-  { t with tree_children = Some children }
+  { (of_owned links) with tree_children = Some (Array.map fst edges) }
 
 let size t = Array.length t.links
 let link t i = t.links.(i)

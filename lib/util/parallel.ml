@@ -42,23 +42,17 @@ let chunk_bounds n count =
       (lo, min n (lo + size)))
   |> List.filter (fun (lo, hi) -> lo < hi)
 
-let iter ?domains ?(threshold = default_threshold) n f =
-  if n < 0 then invalid_arg "Parallel.iter: negative count";
+(* Runs [body lo hi] over contiguous chunks covering [0, n), one chunk
+   per worker domain, the first on the calling domain; a single worker
+   runs [body 0 n] directly, bypassing the chunk hook. *)
+let chunked ?domains ~threshold n body =
   let nd = worker_count ?domains n threshold in
-  if nd <= 1 then
-    for i = 0 to n - 1 do
-      f i
-    done
+  if nd <= 1 then body 0 n
   else begin
     match chunk_bounds n nd with
     | [] -> ()
     | (lo0, hi0) :: rest ->
-        let chunk lo hi () =
-          run_chunk ~items:(hi - lo) (fun () ->
-              for i = lo to hi - 1 do
-                f i
-              done)
-        in
+        let chunk lo hi () = run_chunk ~items:(hi - lo) (fun () -> body lo hi) in
         Util_log.debug (fun m ->
             m "Parallel.iter: %d items over %d domains" n (List.length rest + 1));
         let spawned =
@@ -68,18 +62,37 @@ let iter ?domains ?(threshold = default_threshold) n f =
         List.iter Domain.join spawned
   end
 
-let init ?domains ?(threshold = default_threshold) n f =
+let iter ?domains ?(threshold = default_threshold) n f =
+  if n < 0 then invalid_arg "Parallel.iter: negative count";
+  chunked ?domains ~threshold n (fun lo hi ->
+      for i = lo to hi - 1 do
+        f i
+      done)
+
+let init_with ?domains ?(threshold = default_threshold) n make f =
   if n < 0 then invalid_arg "Parallel.init: negative count";
-  let nd = worker_count ?domains n threshold in
-  if nd <= 1 then Array.init n f
+  if worker_count ?domains n threshold <= 1 then begin
+    let s = make () in
+    Array.init n (fun i -> f s i)
+  end
   else begin
     (* Seed the result array from index 0, then let each worker fill a
        disjoint slice: disjoint writes to a preallocated array are
-       race-free, and the result is independent of the domain count. *)
-    let result = Array.make n (f 0) in
-    iter ?domains ~threshold:0 (n - 1) (fun k -> result.(k + 1) <- f (k + 1));
+       race-free, and the result is independent of the domain count.
+       The first chunk runs on the calling domain, so it keeps the
+       seed's state. *)
+    let s0 = make () in
+    let result = Array.make n (f s0 0) in
+    chunked ?domains ~threshold:0 (n - 1) (fun lo hi ->
+        let s = if lo = 0 then s0 else make () in
+        for k = lo to hi - 1 do
+          result.(k + 1) <- f s (k + 1)
+        done);
     result
   end
+
+let init ?domains ?threshold n f =
+  init_with ?domains ?threshold n ignore (fun () i -> f i)
 
 let map_array ?domains ?threshold f arr =
   init ?domains ?threshold (Array.length arr) (fun i -> f arr.(i))

@@ -34,6 +34,13 @@ val init : ?domains:int -> ?threshold:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init].  [f 0] is evaluated first (on the calling
     domain) to seed the result array. *)
 
+val init_with :
+  ?domains:int -> ?threshold:int -> int -> (unit -> 's) -> ('s -> int -> 'a) -> 'a array
+(** [init_with n make f] is [init n (f s)] with per-chunk scratch
+    state: each chunk gets its own [s = make ()], made on the domain
+    that runs the chunk, so [f] may mutate [s] freely.  [f s i] must
+    not depend on what earlier calls left in [s]. *)
+
 val map_array : ?domains:int -> ?threshold:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]. *)
 

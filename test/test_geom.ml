@@ -209,8 +209,8 @@ let test_delaunay_contains_mst () =
     [ 1; 2; 3; 4; 5 ]
 
 let test_delaunay_collinear_fallback () =
-  (* No triangles exist; spanning_edges must fall back to the complete
-     graph and the fast MST must still be the chain. *)
+  (* No triangles exist; the fast MST must fall back to the complete
+     graph and still be the chain. *)
   let ps = Pointset.of_list [ v 0.0 0.0; v 1.0 0.0; v 2.5 0.0; v 7.0 0.0 ] in
   Alcotest.(check (list (pair int int))) "chain"
     [ (0, 1); (1, 2); (2, 3) ]

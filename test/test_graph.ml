@@ -51,6 +51,20 @@ let test_graph_rejects () =
   Alcotest.check_raises "duplicate" (Invalid_argument "Graph.add_edge: duplicate edge")
     (fun () -> Graph.add_edge g 1 0)
 
+let test_graph_of_rows () =
+  (* The rows build the graph [add_edge] builds from the same pair
+     sequence, neighbour order included. *)
+  let rows = [| [ 3; 1 ]; [ 2 ]; []; [ 2 ] |] in
+  let g = Graph.of_rows 4 rows in
+  let h = Graph.create 4 in
+  Array.iteri (fun u row -> List.iter (fun v -> Graph.add_edge h u v) row) rows;
+  Alcotest.(check int) "edges" 4 (Graph.edge_count g);
+  for v = 0 to 3 do
+    Alcotest.(check (list int)) "neighbours" (Graph.neighbors h v) (Graph.neighbors g v)
+  done;
+  Alcotest.check_raises "self loop" (Invalid_argument "Graph.of_rows: self-loop")
+    (fun () -> ignore (Graph.of_rows 2 [| [ 0 ]; [] |]))
+
 (* ------------------------------------------------------------------ MST *)
 
 let line5 () =
@@ -270,6 +284,7 @@ let () =
         [
           Alcotest.test_case "edges" `Quick test_graph_edges;
           Alcotest.test_case "rejects" `Quick test_graph_rejects;
+          Alcotest.test_case "of_rows" `Quick test_graph_of_rows;
         ] );
       ( "mst",
         [

@@ -153,7 +153,20 @@ let test_parallel_init_matches_sequential () =
       Alcotest.(check bool)
         (Printf.sprintf "init n=%d, single domain" n)
         true
-        (Parallel.init ~domains:1 n f = seq))
+        (Parallel.init ~domains:1 n f = seq);
+      (* Each chunk writes its own scratch between reads, so a scratch
+         shared across chunks would tear the results. *)
+      let g s i =
+        s.(0) <- i;
+        for _ = 1 to 100 do
+          s.(0) <- s.(0) + 1
+        done;
+        f (s.(0) - 100)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "init_with n=%d, forced 4 domains" n)
+        true
+        (Parallel.init_with ~domains:4 ~threshold:1 n (fun () -> Array.make 1 0) g = seq))
     [ 0; 1; 2; 31; 32; 33; 257 ];
   let hits = Array.make 100 0 in
   Parallel.iter ~domains:3 ~threshold:1 100 (fun i -> hits.(i) <- hits.(i) + 1);

@@ -269,9 +269,23 @@ let allocated_words f =
   let minor1, promoted1, major1 = Gc.counters () in
   (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
 
-let pinned_plan () =
-  let ps = Random_deploy.uniform_square (Rng.create 1) ~n:1500 ~side:1000.0 in
-  Pipeline.plan ~params:p `Global ps
+let pinned_points () =
+  Random_deploy.uniform_square (Rng.create 1) ~n:1500 ~side:1000.0
+
+let pinned_plan () = Pipeline.plan ~params:p `Global (pinned_points ())
+
+let test_mst_allocation () =
+  let ps = pinned_points () in
+  let agg, words = allocated_words (fun () -> Agg_tree.mst ps) in
+  Alcotest.(check int) "links" 1499 (Agg_tree.link_count agg);
+  (* 387,262 words measured; 1,642,523 while the triangulation built
+     its cavity, boundary, fan and free lists per insertion and a
+     circumcircle option per triangle (≈ 1.15 M), Kruskal sorted a
+     list of weighted tuples (≈ 0.19 M) and the tree went through a
+     [Graph] and a list BFS (≈ 0.13 M). *)
+  Alcotest.(check bool)
+    (Printf.sprintf "MST stage allocated %.0f words (bound 780000)" words)
+    true (words <= 780_000.0)
 
 let test_solve_allocation () =
   let plan = pinned_plan () in
@@ -335,5 +349,6 @@ let () =
         [
           Alcotest.test_case "slot solve" `Quick test_solve_allocation;
           Alcotest.test_case "conflict graph" `Quick test_conflict_allocation;
+          Alcotest.test_case "MST stage" `Quick test_mst_allocation;
         ] );
     ]

@@ -323,6 +323,89 @@ let prop_inductive_independence_small =
       Conflict.inductive_independence p (Conflict.constant ()) ls <= 8
       && Conflict.inductive_independence p (Conflict.log_power ()) ls <= 10)
 
+(* Tie order of the flat Kruskal.  The reference is the list-based
+   Kruskal the flat one replaced: a stable [List.sort] by
+   [Float.compare] and a union-find filter.  Weights come from a
+   handful of values (with -0.0, which compares equal to 0.0, and NaN,
+   which sorts first), so most candidates tie and the result depends
+   on the sort keeping candidate order; lists run past one insertion
+   run and several merge passes, and carry self-loops, repeated pairs
+   and reversed endpoints. *)
+let kruskal_reference ~n weighted_edges =
+  let sorted =
+    List.sort (fun (_, _, w1) (_, _, w2) -> Float.compare w1 w2) weighted_edges
+  in
+  let uf = Wa_graph.Union_find.create n in
+  List.filter_map
+    (fun (u, v, _) ->
+      if Wa_graph.Union_find.union uf u v then Some (min u v, max u v) else None)
+    sorted
+
+let gen_tied_candidates =
+  QCheck.make
+    ~print:(fun (n, es) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; "
+           (List.map (fun (u, v, w) -> Printf.sprintf "(%d,%d,%g)" u v w) es)))
+    QCheck.Gen.(
+      int_range 1 40 >>= fun n ->
+      let weight =
+        oneofl [ 0.0; -0.0; 1.0; 1.0; 1.0; 2.5; 2.5; -3.0; infinity; Float.nan ]
+      in
+      list_size (int_range 0 300)
+        (triple (int_bound (n - 1)) (int_bound (n - 1)) weight)
+      >|= fun es -> (n, es))
+
+let prop_kruskal_matches_stable_reference =
+  QCheck.Test.make ~count:200 ~name:"flat Kruskal keeps the stable list order on ties"
+    gen_tied_candidates (fun (n, es) -> Mst.kruskal ~n es = kruskal_reference ~n es)
+
+(* Delaunay–Kruskal on inputs full of ties and degeneracies, against
+   dense Prim by weight: a grid (every edge tied), a line (no
+   triangles, so the complete-graph fallback runs), and near-duplicate
+   pairs (exact duplicates are not a pointset).  The fast path's tie
+   choices may differ from Prim's, its total weight may not. *)
+let gen_degenerate_points =
+  QCheck.make
+    ~print:(fun (seed, n, kind) ->
+      Printf.sprintf "seed=%d n=%d kind=%s" seed n
+        [| "grid"; "collinear"; "near-duplicate" |].(kind))
+    QCheck.Gen.(
+      map
+        (fun (seed, n, kind) -> (seed, 4 + (abs n mod 60), abs kind mod 3))
+        (triple (int_bound 100000) int int))
+
+let degenerate_points (seed, n, kind) =
+  let rng = Rng.create seed in
+  match kind with
+  | 0 ->
+      let cols = 2 + (seed mod 7) in
+      Random_deploy.grid ~rows:(max 2 (n / cols)) ~cols ~spacing:(1.0 +. float_of_int (seed mod 5))
+  | 1 ->
+      let dx = Rng.float_range rng 0.1 1.0 and dy = Rng.float rng 1.0 in
+      let t = ref 0.0 in
+      Pointset.of_list
+        (List.init n (fun _ ->
+             t := !t +. 1.0 +. float_of_int (Rng.int rng 3);
+             Vec2.make (!t *. dx) (!t *. dy)))
+  | _ ->
+      Pointset.of_list
+        (List.concat
+           (List.init ((n + 1) / 2) (fun k ->
+                let x = float_of_int (k mod 7) *. 10.0
+                and y = float_of_int (k / 7) *. 10.0 in
+                [ Vec2.make x y; Vec2.make (Float.succ x) y ])))
+
+let prop_delaunay_mst_degenerate_weight =
+  QCheck.Test.make ~count:60 ~name:"Delaunay MST weight equals Prim on degenerate inputs"
+    gen_degenerate_points (fun input ->
+      let ps = degenerate_points input in
+      let n = Pointset.size ps in
+      let fast = Mst.euclidean_fast ps in
+      let w_fast = Mst.total_weight ps fast and w_prim = Mst.total_weight ps (Mst.euclidean ps) in
+      Mst.is_spanning_tree ~n fast
+      && Float.abs (w_fast -. w_prim) <= 1e-9 *. Float.max 1.0 w_prim)
+
 (* Pressure-oracle instances: uniform square, tight Gaussian clusters,
    and collinear-degenerate deployments, with MST links.  The last two
    stress the far-field quadtree (deep recursion near clusters, zero
@@ -922,6 +1005,8 @@ let () =
             prop_hierarchical_spanning_and_shallow;
             prop_selection_matches_sort;
             prop_mst_bounded_matches_mst_at_threshold;
+            prop_kruskal_matches_stable_reference;
+            prop_delaunay_mst_degenerate_weight;
             prop_inductive_independence_small;
           ] );
     ]
