@@ -30,11 +30,6 @@ let v ~check ~subject detail = { check; subject; detail }
 
 let make_check name run = { name; run }
 
-let equal_violation a b =
-  String.equal a.check b.check
-  && String.equal a.subject b.subject
-  && String.equal a.detail b.detail
-
 let ok r = List.is_empty r.violations
 
 let run_checks checks =

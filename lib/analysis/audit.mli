@@ -39,8 +39,6 @@ val run_checks : check list -> report
 val ok : report -> bool
 (** No violations. *)
 
-val equal_violation : violation -> violation -> bool
-
 val partition_check : n_links:int -> slots:int list array -> check
 (** Every link id in [0, n_links) appears in exactly one slot, and no
     slot mentions an out-of-range id. *)
@@ -91,8 +89,6 @@ val report_consistency_check : (unit -> Wa_obs.Report.t) -> check
     with [min <= max] when non-empty and well-formed bucket bounds,
     span durations and depths non-negative. *)
 
-val violation_to_json : violation -> Wa_util.Json.t
 val report_to_json : report -> Wa_util.Json.t
 
-val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -229,11 +229,3 @@ let pp_failure fmt f =
   Format.fprintf fmt "schedule [%s]: %s"
     (String.concat ";" (List.map string_of_int f.schedule))
     f.reason
-
-let pp_outcome fmt o =
-  Format.fprintf fmt
-    "%s: %d schedule(s) explored, %d prefix(es) pruned%s, %d failure(s)"
-    o.scenario o.explored o.pruned
-    (if o.truncated then " [truncated]" else "")
-    (List.length o.failures);
-  List.iter (fun f -> Format.fprintf fmt "@\n  %a" pp_failure f) o.failures

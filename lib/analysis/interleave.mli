@@ -67,8 +67,4 @@ val interleavings : int list -> int
     counts — the multinomial [(Σn)! / Πnᵢ!]; the ceiling on
     [explored + equivalent schedules]. *)
 
-val independent : step -> step -> bool
-(** Footprint disjointness (no shared location with a write). *)
-
 val pp_failure : Format.formatter -> failure -> unit
-val pp_outcome : Format.formatter -> outcome -> unit

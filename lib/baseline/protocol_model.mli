@@ -10,8 +10,6 @@
 val conflicting : guard:float -> Wa_sinr.Linkset.t -> int -> int -> bool
 (** [guard >= 0]; links sharing an endpoint always conflict. *)
 
-val graph : guard:float -> Wa_sinr.Linkset.t -> Wa_graph.Graph.t
-
 val schedule : ?guard:float -> Wa_sinr.Linkset.t -> Wa_core.Schedule.t
 (** Greedy coloring of the protocol-model conflict graph ([guard]
     defaults to 1).  The schedule's power mode is uniform — the

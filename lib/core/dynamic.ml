@@ -135,8 +135,8 @@ let rebuild t =
       Schedule.of_slots (Array.to_list (Array.map (List.sort Int.compare) slots))
         (power_mode t)
     in
-    let sched, _ = Schedule.repair t.params ls sched in
-    t.last_schedule_valid <- Schedule.is_valid t.params ls sched;
+    let sched, _, valid = Schedule.repair_validated t.params ls sched in
+    t.last_schedule_valid <- valid;
     t.last_slots <- Schedule.length sched;
     (* Persist the slot map for the next change. *)
     t.slot_of <-

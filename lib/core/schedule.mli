@@ -37,12 +37,6 @@ val covers : t -> Wa_sinr.Linkset.t -> bool
 val slot_of_link : t -> int -> int
 (** Slot index of a link.  Raises [Not_found] if absent. *)
 
-val infeasible_slots : Wa_sinr.Params.t -> Wa_sinr.Linkset.t -> t -> int list
-(** Indices of slots failing their feasibility check.  Slots are
-    checked in parallel over domains (the checks are independent and
-    read-only); each check bails out of its interference sums as soon
-    as a partial sum already violates the SINR threshold. *)
-
 val is_valid : Wa_sinr.Params.t -> Wa_sinr.Linkset.t -> t -> bool
 (** [covers] and no infeasible slot. *)
 

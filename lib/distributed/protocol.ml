@@ -220,7 +220,7 @@ let run ?(seed = 42) ?(claim_probability = 0.5) ?(announce_rounds = 6)
     | Greedy_schedule.Fixed_scheme s -> Schedule.Scheme s
   in
   let sched = Schedule.of_coloring coloring power_mode in
-  let sched, repair_added = Schedule.repair p ls sched in
+  let sched, repair_added, schedule_valid = Schedule.repair_validated p ls sched in
   {
     rounds = Radio.rounds_used radio;
     phases = !phases;
@@ -228,6 +228,6 @@ let run ?(seed = 42) ?(claim_probability = 0.5) ?(announce_rounds = 6)
     unresolved = !unresolved;
     properness;
     schedule = sched;
-    schedule_valid = Schedule.is_valid p ls sched;
+    schedule_valid;
     repair_added;
   }

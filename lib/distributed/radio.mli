@@ -29,8 +29,6 @@ type t
 
 val create : ?params:Wa_sinr.Params.t -> Wa_geom.Pointset.t -> t
 
-val size : t -> int
-
 val rounds_used : t -> int
 (** Rounds executed so far — the protocol's cost meter. *)
 

@@ -17,9 +17,6 @@ val all : t list
 val find : string -> t option
 (** Case-insensitive lookup by id. *)
 
-val run_and_print : ?quick:bool -> t -> unit
-(** Run one experiment and print its table to stdout. *)
-
 val run_all : ?quick:bool -> ?ids:string list -> unit -> unit
 (** Run all (or the named) experiments, printing each table.  Raises
     [Failure] for an unknown id. *)

@@ -8,16 +8,8 @@
     shipping the underlying windows.  Exemplars keep the global
     top-8 by duration. *)
 
-val merge_cache :
-  Wa_service.Protocol.cache_summary list -> Wa_service.Protocol.cache_summary
-
 val merge_stats :
   Wa_service.Protocol.stats_summary list -> Wa_service.Protocol.stats_summary
-
-val merge_ops :
-  Wa_service.Protocol.op_latency list list -> Wa_service.Protocol.op_latency list
-(** Grouped by op name; counts sum, quantiles take the nan-aware max.
-    Op order follows first appearance. *)
 
 val merge_telemetry :
   ?fleet:Wa_service.Protocol.fleet_summary ->

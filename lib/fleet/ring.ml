@@ -27,8 +27,6 @@ let hash_string s =
   let b = Bytes.unsafe_of_string d in
   Int64.to_int (Bytes.get_int64_le b 0) land max_int
 
-let hash_key = hash_string
-
 let vnode_hash name i = hash_string (Printf.sprintf "%s#%d" name i)
 
 let create ?(vnodes = default_vnodes) names =
@@ -62,9 +60,6 @@ let create ?(vnodes = default_vnodes) names =
     vnodes;
   }
 
-let nodes t = Array.to_list t.names
-let size t = Array.length t.names
-let vnodes t = t.vnodes
 let is_empty t = Array.length t.names = 0
 
 (* Index of the first vnode with hash >= h, wrapping to 0. *)
@@ -79,7 +74,7 @@ let successor_index t h =
 
 let lookup t key =
   if is_empty t then None
-  else Some t.names.(t.owners.(successor_index t (hash_key key)))
+  else Some t.names.(t.owners.(successor_index t (hash_string key)))
 
 (* Distinct owners in ring order starting from the key's position —
    the failover order: if the first is down, the second inherits the
@@ -92,7 +87,7 @@ let lookup_order t key =
     let seen = Array.make node_count false in
     let out = ref [] in
     let found = ref 0 in
-    let start = successor_index t (hash_key key) in
+    let start = successor_index t (hash_string key) in
     let i = ref 0 in
     while !found < node_count && !i < n do
       let owner = t.owners.((start + !i) mod n) in

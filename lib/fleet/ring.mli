@@ -19,13 +19,6 @@ val create : ?vnodes:int -> string list -> t
 (** Raises [Invalid_argument] on duplicate or empty names, or
     [vnodes < 1].  The ring is independent of name order. *)
 
-val nodes : t -> string list
-(** Creation order, not ring order. *)
-
-val size : t -> int
-val vnodes : t -> int
-val is_empty : t -> bool
-
 val lookup : t -> string -> string option
 (** Owner of a key; [None] on an empty ring. *)
 
@@ -42,6 +35,3 @@ val add : t -> string -> t
 
 val remove : t -> string -> t
 (** No-op if not a member. *)
-
-val hash_key : string -> int
-(** The key hash (exposed for the balance tests). *)

@@ -22,8 +22,6 @@ let of_points points =
 let width b = b.max_x -. b.min_x
 let height b = b.max_y -. b.min_y
 
-let diameter_upper_bound b = sqrt ((width b ** 2.0) +. (height b ** 2.0))
-
 let contains b (p : Vec2.t) =
   p.x >= b.min_x && p.x <= b.max_x && p.y >= b.min_y && p.y <= b.max_y
 
@@ -34,6 +32,3 @@ let expand margin b =
     max_x = b.max_x +. margin;
     max_y = b.max_y +. margin;
   }
-
-let pp fmt b =
-  Format.fprintf fmt "[%g,%g]x[%g,%g]" b.min_x b.max_x b.min_y b.max_y

@@ -8,12 +8,7 @@ val of_points : Vec2.t array -> t
 val width : t -> float
 val height : t -> float
 
-val diameter_upper_bound : t -> float
-(** Diagonal of the box; an upper bound on the pointset diameter. *)
-
 val contains : t -> Vec2.t -> bool
 
 val expand : float -> t -> t
 (** Grow the box by a margin on every side. *)
-
-val pp : Format.formatter -> t -> unit

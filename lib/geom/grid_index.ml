@@ -85,8 +85,6 @@ let build ~cell_size points =
     points;
   { cell_size; points; mask; start; ids; xs; ys; cxs; cys }
 
-let cell_size t = t.cell_size
-
 (* Same ring budget as [nearest]: on wildly non-uniform instances
    (doubly-exponential gaps) [ceil (r / cell_size)] can be astronomical
    while almost every swept cell is empty; past the budget a linear

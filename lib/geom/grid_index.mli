@@ -13,8 +13,6 @@ val build : cell_size:float -> Vec2.t array -> t
 (** [build ~cell_size points] indexes [points] (indices into the
     array are the point ids).  [cell_size] must be positive. *)
 
-val cell_size : t -> float
-
 val iter_within_either :
   t -> float -> float -> float -> float -> float -> (int -> unit) -> unit
 (** [iter_within_either t x1 y1 x2 y2 r f] calls [f] once on the id of

@@ -158,12 +158,3 @@ let translate v t = { pts = Array.map (Vec2.add v) t.pts }
 let scale k t =
   if k <= 0.0 then invalid_arg "Pointset.scale: factor must be positive";
   { pts = Array.map (Vec2.scale k) t.pts }
-
-let pp fmt t =
-  Format.fprintf fmt "@[<hov 2>{";
-  Array.iteri
-    (fun i p ->
-      if i > 0 then Format.fprintf fmt ";@ ";
-      Vec2.pp fmt p)
-    t.pts;
-  Format.fprintf fmt "}@]"

@@ -46,5 +46,3 @@ val nearest_neighbor : t -> int -> int
 val translate : Vec2.t -> t -> t
 val scale : float -> t -> t
 (** Uniform scaling about the origin; factor must be positive. *)
-
-val pp : Format.formatter -> t -> unit

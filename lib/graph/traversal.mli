@@ -1,15 +1,7 @@
 (** Graph traversals and connectivity queries. *)
 
-val bfs_order : Graph.t -> int -> int list
-(** Vertices reachable from the source in breadth-first order
-    (source first). *)
-
 val bfs_depths : Graph.t -> int -> int array
 (** Hop distance from the source; [-1] for unreachable vertices. *)
-
-val components : Graph.t -> int array
-(** Component label per vertex (labels are the smallest vertex id of
-    each component). *)
 
 val component_count : Graph.t -> int
 

@@ -5,9 +5,6 @@ type t
 val create : int -> t
 (** [create n] makes [n] singleton sets labelled [0 .. n-1]. *)
 
-val find : t -> int -> int
-(** Canonical representative of the set containing the element. *)
-
 val union : t -> int -> int -> bool
 (** Merge the two sets; returns [false] if they were already one. *)
 

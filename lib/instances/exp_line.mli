@@ -16,11 +16,6 @@
     size — see {!max_float_points}) and log-domain gaps (arbitrary
     [n], used with {!Wa_sinr.Logline}). *)
 
-val default_base : Wa_sinr.Params.t -> tau:float -> float
-(** The smallest safe base [x]: exceeds both 2 and
-    [(2/β^{1/α})^{1/τ'}] (the constants of the Sec. 4.1 proof), with
-    a small margin. *)
-
 val max_float_points : ?x:float -> Wa_sinr.Params.t -> tau:float -> int
 (** Largest [n] whose coordinates stay below 1e280 in floats. *)
 

@@ -224,11 +224,6 @@ let counter_delta ?last t name =
           acc + Option.value ~default:0 (List.assoc_opt name w.w_counters))
         0 (select ?last t))
 
-let counter_rate ?last t name =
-  let d = counter_delta ?last t name in
-  let s = horizon_s ?last t in
-  if s <= 0.0 then nan else float_of_int d /. s
-
 let hist_names ?last t =
   Mutex.protect t.mu (fun () ->
       List.concat_map (fun w -> List.map fst w.w_hists) (select ?last t))

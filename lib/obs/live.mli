@@ -46,10 +46,6 @@ val horizon_s : ?last:int -> t -> float
 (** Wall-clock seconds covered by the selected windows ([last] newest;
     all by default). *)
 
-val merged_hist : ?last:int -> t -> string -> Metrics.hist_snapshot option
-(** Bucket-wise merge of one histogram's deltas over the selected
-    windows; [None] if the name never recorded in them. *)
-
 type quantiles = {
   q_count : int;
   q_p50 : float;
@@ -65,9 +61,6 @@ val quantiles : ?last:int -> t -> string -> quantiles option
 val counter_delta : ?last:int -> t -> string -> int
 (** Sum of a counter's deltas over the selected windows (0 if the
     counter never moved). *)
-
-val counter_rate : ?last:int -> t -> string -> float
-(** {!counter_delta} divided by {!horizon_s}; [nan] with no horizon. *)
 
 val hist_names : ?last:int -> t -> string list
 (** Names of histograms that recorded in the selected windows. *)

@@ -7,13 +7,8 @@
     (grid-index brute fallbacks, schedule repair splits) say where
     they came from. *)
 
-val src : Logs.src
-
 module Self : Logs.LOG
 (** Logging for the obs layer itself. *)
-
-val reporter : ?ppf:Format.formatter -> unit -> Logs.reporter
-(** [[src] LEVEL message] lines; default formatter is stderr. *)
 
 val level_of_verbosity : int -> Logs.level option
 (** 0 → warnings (the default: degraded paths stay visible), 1 →

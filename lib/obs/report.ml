@@ -35,7 +35,6 @@ let span_ms t name =
 
 let counter_value t name = List.assoc_opt name t.counters
 let gauge_value t name = List.assoc_opt name t.gauges
-let histogram t name = List.assoc_opt name t.histograms
 
 (* JSON --------------------------------------------------------------- *)
 
@@ -82,13 +81,6 @@ let metrics_to_json t =
       ( "histograms",
         Json.Obj (List.map (fun (n, h) -> (n, hist_to_json h)) t.histograms) );
       ("spans_recorded", Json.Int (List.length t.spans));
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("metrics", metrics_to_json t);
-      ("spans", Json.List (List.map span_to_json t.spans));
     ]
 
 (* Human summary ------------------------------------------------------ *)

@@ -28,7 +28,6 @@ val span_ms : t -> string -> float option
 
 val counter_value : t -> string -> int option
 val gauge_value : t -> string -> float option
-val histogram : t -> string -> Metrics.hist_snapshot option
 
 val span_to_json : Trace.span -> Wa_util.Json.t
 (** One JSON-lines record: [{"type":"span","name":...,"start_ns":...,
@@ -36,9 +35,6 @@ val span_to_json : Trace.span -> Wa_util.Json.t
 
 val metrics_to_json : t -> Wa_util.Json.t
 (** The metrics document: counters/gauges/histograms keyed by name. *)
-
-val to_json : t -> Wa_util.Json.t
-(** Whole report (metrics + span list) as one document. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human summary: per-name span totals (widest first), counters,

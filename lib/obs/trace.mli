@@ -45,9 +45,6 @@ val spans : unit -> span list
     recorded by Parallel worker domains are already merged by the time
     the fan-out returns. *)
 
-val flush_local : unit -> unit
-(** Merge the calling domain's buffer into the global list. *)
-
 val reset : unit -> unit
 (** Drop all recorded spans (global list and this domain's buffer). *)
 

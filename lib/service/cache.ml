@@ -144,16 +144,6 @@ let mem t key =
   Mutex.unlock t.mutex;
   r
 
-let remove t key =
-  Mutex.lock t.mutex;
-  (match Hashtbl.find_opt t.table key with
-  | Some slot ->
-      Hashtbl.remove t.table key;
-      t.total_bytes <- t.total_bytes - slot.bytes;
-      publish_gauges t
-  | None -> ());
-  Mutex.unlock t.mutex
-
 let store t key ~bytes value =
   Mutex.lock t.mutex;
   let evicted = insert t key value bytes in
@@ -224,17 +214,6 @@ let stats t =
   in
   Mutex.unlock t.mutex;
   s
-
-let stats_json s =
-  Json.Obj
-    [
-      ("entries", Int s.entries);
-      ("bytes", Int s.total_bytes);
-      ("hits", Int s.hits);
-      ("misses", Int s.misses);
-      ("coalesced", Int s.coalesced);
-      ("evictions", Int s.evictions);
-    ]
 
 let clear t =
   Mutex.lock t.mutex;

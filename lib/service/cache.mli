@@ -36,11 +36,6 @@ val mem : 'a t -> string -> bool
     advisory probes (the fleet's [cache_peek]) neither skew telemetry
     nor keep entries alive. *)
 
-val remove : 'a t -> string -> unit
-(** Drop one entry if present.  Does not count as an eviction and does
-    not fire the {!set_on_evict} callback (removal initiated from the
-    outside must not re-advertise itself). *)
-
 val set_on_evict : 'a t -> (string list -> unit) -> unit
 (** Install a capacity-eviction listener.  Called with the victims'
     keys after every insert that evicted, always with the cache's lock
@@ -71,5 +66,4 @@ type stats = {
 }
 
 val stats : 'a t -> stats
-val stats_json : stats -> Wa_util.Json.t
 val clear : 'a t -> unit

@@ -49,7 +49,6 @@ let set_gossip t ~on_fill ~on_invalidate =
   t.on_invalidate <- on_invalidate
 
 let sessions t = t.sessions
-let cache_stats t = Cache.stats t.cache
 
 (* Deployment resolution ------------------------------------------------ *)
 
@@ -185,12 +184,6 @@ let advertise t ~origin ~invalidate keys =
       keys;
   Mutex.unlock t.warm_mu;
   P.Advertise_ok !accepted
-
-let warm_count t =
-  Mutex.lock t.warm_mu;
-  let n = Hashtbl.length t.warm in
-  Mutex.unlock t.warm_mu;
-  n
 
 (* Inline cached-plan fast path ------------------------------------------ *)
 

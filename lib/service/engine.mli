@@ -37,9 +37,6 @@ val advertise :
     bound new keys are refused, reflected in the accepted count.
     Retraction only drops hints that still name [origin]. *)
 
-val warm_count : t -> int
-(** Number of gossip warm hints currently held. *)
-
 val set_gossip :
   t -> on_fill:(string -> unit) -> on_invalidate:(string list -> unit) -> unit
 (** Install the gossip taps: [on_fill key] fires on the worker that
@@ -62,16 +59,12 @@ val pointset_of_spec : Protocol.plan_spec -> Wa_geom.Pointset.t
 (** Resolve the deployment (inline points or generated family).
     Raises [Invalid_argument] on unknown kinds or bad pointsets. *)
 
-val plan_bytes : Wa_core.Pipeline.plan -> int
-(** The cache's resident-size estimate for one plan. *)
-
 val obtain_plan : t -> Protocol.plan_spec -> Wa_core.Pipeline.plan * bool * float
 (** [(plan, cached, compute_ms)] — the caching path behind [plan],
     [describe] and [simulate]; exposed for the cache-equality tests.
     May raise (unlike {!handle}, which wraps it). *)
 
 val sessions : t -> Session.t
-val cache_stats : t -> Cache.stats
 
 val cache_summary : t -> Protocol.cache_summary
 (** Cache stats in wire form, shared by [stats] and [telemetry]. *)

@@ -41,7 +41,6 @@ let endpoint fd =
 let fd ep = ep.fd
 let eof ep = ep.eof
 let alive ep = ep.alive
-let mark_eof ep = ep.eof <- true
 let mark_dead ep = ep.alive <- false
 
 let close ep =

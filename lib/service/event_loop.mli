@@ -11,14 +11,10 @@
 
 type endpoint
 
-val endpoint : Unix.file_descr -> endpoint
-(** Wrap an already-connected descriptor. *)
-
 val fd : endpoint -> Unix.file_descr
 val eof : endpoint -> bool
 val alive : endpoint -> bool
 
-val mark_eof : endpoint -> unit
 val mark_dead : endpoint -> unit
 
 val close : endpoint -> unit

@@ -24,8 +24,6 @@ type t = {
   cond : Condition.t;
   queue : batch Queue.t; [@wa.guarded_by "Gossip.t.mu"]
   mutable stopped : bool; [@wa.guarded_by "Gossip.t.mu"]
-  mutable n_dropped : int; [@wa.guarded_by "Gossip.t.mu"]
-  mutable n_sent : int; [@wa.guarded_by "Gossip.t.mu"]
   mutable dom : unit Domain.t option;
 }
 
@@ -54,7 +52,7 @@ let peer_send t peer batch =
             peer.p_next_try <- now +. peer.p_backoff;
             peer.p_backoff <- Float.min backoff_max (peer.p_backoff *. 2.0)));
     match peer.p_conn with
-    | None -> false
+    | None -> ()
     | Some c -> (
         let body =
           P.Cache_advertise
@@ -65,15 +63,13 @@ let peer_send t peer batch =
             }
         in
         match Client.call c body with
-        | Ok { P.body = P.Advertise_ok _; _ } -> true
+        | Ok { P.body = P.Advertise_ok _; _ } -> ()
         | Ok _ | Error _ ->
             (* Anything but an ack: reconnect later with backoff. *)
             disconnect peer;
             peer.p_next_try <- Unix.gettimeofday () +. peer.p_backoff;
-            peer.p_backoff <- Float.min backoff_max (peer.p_backoff *. 2.0);
-            false)
+            peer.p_backoff <- Float.min backoff_max (peer.p_backoff *. 2.0))
   end
-  else false
 
 let sender_loop t =
   let running = ref true in
@@ -100,14 +96,7 @@ let sender_loop t =
       done;
       let batch = { batch with b_keys = List.rev !keys } in
       Mutex.unlock t.mu;
-      let delivered =
-        List.fold_left
-          (fun n peer -> if peer_send t peer batch then n + 1 else n)
-          0 t.peers
-      in
-      Mutex.lock t.mu;
-      t.n_sent <- t.n_sent + delivered;
-      Mutex.unlock t.mu
+      List.iter (fun peer -> peer_send t peer batch) t.peers
     end
   done;
   List.iter disconnect t.peers
@@ -127,8 +116,6 @@ let create ~origin ~peers =
       cond = Condition.create ();
       queue = Queue.create ();
       stopped = false;
-      n_dropped = 0;
-      n_sent = 0;
       dom = None;
     }
   in
@@ -137,13 +124,11 @@ let create ~origin ~peers =
   t
 
 (* Never blocks: with no peers it is a no-op, with a full queue the
-   batch is dropped and counted. *)
+   batch is dropped. *)
 let push t ~invalidate keys =
   if not (List.is_empty t.peers) && not (List.is_empty keys) then begin
     Mutex.lock t.mu;
-    if t.stopped || Queue.length t.queue >= max_queue then
-      t.n_dropped <- t.n_dropped + 1
-    else begin
+    if (not t.stopped) && Queue.length t.queue < max_queue then begin
       Queue.push { b_invalidate = invalidate; b_keys = keys } t.queue;
       Condition.signal t.cond
     end;
@@ -160,15 +145,3 @@ let stop t =
       Domain.join d;
       t.dom <- None
   | None -> ()
-
-let dropped t =
-  Mutex.lock t.mu;
-  let n = t.n_dropped in
-  Mutex.unlock t.mu;
-  n
-
-let sent t =
-  Mutex.lock t.mu;
-  let n = t.n_sent in
-  Mutex.unlock t.mu;
-  n

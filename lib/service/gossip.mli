@@ -8,8 +8,8 @@
 
     The channel is {e advisory, never authoritative} (DESIGN.md §16):
     a dropped or stale advertisement only costs a potential recompute,
-    so {!push} never blocks — a full queue drops the batch and counts
-    it, and peer failures are absorbed by backoff.  Consecutive
+    so {!push} never blocks — a full queue drops the batch, and peer
+    failures are absorbed by backoff.  Consecutive
     batches of the same polarity are merged into one advertisement
     line per peer. *)
 
@@ -26,9 +26,3 @@ val push : t -> invalidate:bool -> string list -> unit
 val stop : t -> unit
 (** Drain the queue, close peer connections, join the sender domain.
     Idempotent. *)
-
-val dropped : t -> int
-(** Batches dropped on a full queue since creation. *)
-
-val sent : t -> int
-(** Successfully delivered peer-advertisements since creation. *)

@@ -887,9 +887,7 @@ let response =
 (* Line framing --------------------------------------------------------- *)
 
 let encode_request = request.enc
-let decode_request = request.dec
 let encode_response = response.enc
-let decode_response = response.dec
 let request_to_line r = Json.to_string ~pretty:false (request.enc r)
 let response_to_line r = Json.to_string ~pretty:false (response.enc r)
 

@@ -15,8 +15,6 @@
     than raising.  A golden corpus in [test/protocol_corpus.jsonl] pins
     the wire bytes. *)
 
-val version : int
-
 (* Requests ------------------------------------------------------------- *)
 
 type deploy_spec =
@@ -271,8 +269,6 @@ val error : ?shard:string -> id:int -> error_code -> string -> response
 
 (* Codecs --------------------------------------------------------------- *)
 
-val power_to_string : Wa_core.Pipeline.power_mode -> string
-val power_of_string : string -> (Wa_core.Pipeline.power_mode, string) result
 val error_code_to_string : error_code -> string
 
 val spec_canonical_json : plan_spec -> Wa_util.Json.t
@@ -285,9 +281,7 @@ val spec_canonical_json : plan_spec -> Wa_util.Json.t
     coordinates): the JSON parser reads [1e999] as infinity. *)
 
 val encode_request : request -> Wa_util.Json.t
-val decode_request : Wa_util.Json.t -> (request, string) result
 val encode_response : response -> Wa_util.Json.t
-val decode_response : Wa_util.Json.t -> (response, string) result
 
 val request_to_line : request -> string
 (** Compact JSON, no trailing newline. *)

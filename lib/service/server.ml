@@ -146,7 +146,6 @@ let create config =
   }
 
 let port t = E.bound_port ~fallback:t.config.port t.listen_fd
-let engine t = t.engine
 
 let stop t = locked t.state_mu (fun () -> t.stop_requested <- true)
 

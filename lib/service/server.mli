@@ -72,8 +72,6 @@ val create : config -> t
 val port : t -> int
 (** The actually-bound port (useful with [port = 0]). *)
 
-val engine : t -> Engine.t
-
 val run : t -> unit
 (** Serve until [shutdown] or {!stop}; returns after the graceful
     drain completed and the pool is joined. *)

@@ -70,12 +70,6 @@ let count t =
   Mutex.unlock t.mutex;
   n
 
-let ids t =
-  Mutex.lock t.mutex;
-  let ids = Hashtbl.fold (fun id _ acc -> id :: acc) t.table [] in
-  Mutex.unlock t.mutex;
-  List.sort Int.compare ids
-
 let close_all t =
   Mutex.lock t.mutex;
   Hashtbl.reset t.table;

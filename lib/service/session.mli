@@ -35,5 +35,4 @@ val close : t -> int -> bool
 (** [false] when the handle was unknown. *)
 
 val count : t -> int
-val ids : t -> int list
 val close_all : t -> unit

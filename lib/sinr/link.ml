@@ -31,5 +31,3 @@ let compare i j =
   if c <> 0 then c else Vec2.compare i.dst j.dst
 
 let reverse t = { src = t.dst; dst = t.src }
-
-let pp fmt t = Format.fprintf fmt "%a->%a" Vec2.pp t.src Vec2.pp t.dst

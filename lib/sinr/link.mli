@@ -34,5 +34,3 @@ val compare : t -> t -> int
     (NaN-safe total order). *)
 
 val reverse : t -> t
-
-val pp : Format.formatter -> t -> unit

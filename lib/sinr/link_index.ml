@@ -70,10 +70,6 @@ let class_of_link t i = t.class_of.(i)
 let check_class t c =
   if c < 0 || c >= class_count t then invalid_arg "Link_index: class out of range"
 
-let class_dyadic t c =
-  check_class t c;
-  t.classes.(c).dyadic
-
 let class_members t c =
   check_class t c;
   t.classes.(c).members

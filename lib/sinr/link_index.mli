@@ -31,10 +31,6 @@ val class_of_link : t -> int -> int
     every link in a higher position is strictly longer than every
     link in a lower one. *)
 
-val class_dyadic : t -> int -> int
-(** Dyadic index ({!Length_class.class_of_link}) of the class at a
-    position. *)
-
 val class_members : t -> int -> int array
 (** Link ids of the class at a position, ascending.  Do not mutate. *)
 

@@ -145,8 +145,6 @@ let by_increasing_length t =
       let c = Float.compare t.lengths.(a) t.lengths.(b) in
       if c <> 0 then c else Int.compare a b)
 
-let subset t ids = List.map (fun i -> t.links.(i)) ids
-
 let iter f t = Array.iteri f t.links
 
 let fold f t init =

@@ -66,8 +66,5 @@ val by_decreasing_length : t -> int array
 
 val by_increasing_length : t -> int array
 
-val subset : t -> int list -> Link.t list
-(** The links with the given ids, in the given order. *)
-
 val iter : (int -> Link.t -> unit) -> t -> unit
 val fold : (int -> Link.t -> 'a -> 'a) -> t -> 'a -> 'a

@@ -27,17 +27,9 @@ val dist : t -> int -> int -> Wa_util.Logfloat.t
 val diversity : t -> Wa_util.Logfloat.t
 (** Span divided by the minimum gap — the Δ of the instance. *)
 
-val length : t -> link -> Wa_util.Logfloat.t
-
 val mst_links : ?toward:[ `Left | `Right ] -> t -> link array
 (** The line MST: one link per consecutive pair, all directed toward
     the given side (default [`Right]). *)
-
-val relative_interference :
-  Params.t -> tau:float -> t -> link -> link -> Wa_util.Logfloat.t
-(** [I_Pτ(j, i)] in log domain: [l_j^{τα}·l_i^{(1-τ)α} / d_ji^α];
-    represents infinity as [exp(+inf)] when the sender of [j] sits on
-    the receiver of [i]. *)
 
 val set_feasible : Params.t -> tau:float -> t -> link list -> bool
 (** Noise-free Pτ-feasibility: for every link of the set, the total

@@ -65,7 +65,3 @@ let[@wa.hot] pow_apply t x =
     !r
   end
   else x ** a
-
-let pp fmt t =
-  Format.fprintf fmt "alpha=%g beta=%g N=%g eps=%g" t.alpha t.beta t.noise
-    t.epsilon

@@ -52,5 +52,3 @@ val pow_apply : t -> float -> float
     allocation-certified kernels use; [wa_check]'s [hot-alloc] pass
     verifies it (and everything it reaches) performs no heap
     allocation. *)
-
-val pp : Format.formatter -> t -> unit

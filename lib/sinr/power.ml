@@ -55,5 +55,3 @@ let describe = function
   | Linear -> "linear (P1)"
   | Oblivious t -> Format.asprintf "oblivious P_tau (tau=%g)" t
   | Custom _ -> "custom (global power control)"
-
-let pp fmt s = Format.pp_print_string fmt (describe s)

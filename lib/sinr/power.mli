@@ -34,5 +34,3 @@ val vector : Params.t -> Linkset.t -> scheme -> float array
 (** All powers by link id. *)
 
 val describe : scheme -> string
-
-val pp : Format.formatter -> scheme -> unit

@@ -44,8 +44,6 @@ let compare = Float.compare
 let equal a b = Float.equal a b
 let ( < ) a b = Float.compare a b < 0
 let ( <= ) a b = Float.compare a b <= 0
-let ( > ) a b = Float.compare a b > 0
-let ( >= ) a b = Float.compare a b >= 0
 
 let min a b = Float.min a b
 let max a b = Float.max a b

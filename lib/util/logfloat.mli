@@ -48,8 +48,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
 
 val min : t -> t -> t
 val max : t -> t -> t

@@ -54,7 +54,3 @@ let summarize xs =
     max = maximum xs;
     median = median xs;
   }
-
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" s.count
-    s.mean s.stddev s.min s.median s.max

@@ -16,13 +16,6 @@ val summarize : float list -> summary
 (** Raises [Invalid_argument] on the empty list. *)
 
 val mean : float list -> float
-val stddev : float list -> float
-val median : float list -> float
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,100\]]; linear interpolation
     between order statistics. *)
-
-val minimum : float list -> float
-val maximum : float list -> float
-
-val pp_summary : Format.formatter -> summary -> unit

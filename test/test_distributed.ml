@@ -167,6 +167,56 @@ let test_protocol_phase_cap_fallback () =
   Alcotest.(check bool) "still covers" true
     (Schedule.covers r.Protocol.schedule agg.Agg_tree.links)
 
+(* [Protocol.run] (like [Dynamic]'s replans) takes its verdict from
+   [Schedule.repair_validated] instead of re-solving every slot with
+   [Schedule.is_valid]; the two must agree on the returned schedule. *)
+let test_protocol_verdict_is_ground_truth () =
+  let noisy = Params.make ~noise:1e-9 () in
+  List.iter
+    (fun (name, params, mode) ->
+      let agg = random_agg 31 80 in
+      let r = Protocol.run ~seed:31 params agg mode in
+      Alcotest.(check bool) (name ^ ": valid") true r.Protocol.schedule_valid;
+      Alcotest.(check bool)
+        (name ^ ": verdict = is_valid")
+        (Schedule.is_valid params agg.Agg_tree.links r.Protocol.schedule)
+        r.Protocol.schedule_valid)
+    [
+      ("global", p, Greedy_schedule.Global_power);
+      ("oblivious", p, Greedy_schedule.Oblivious_power 0.5);
+      ("oblivious, noisy", noisy, Greedy_schedule.Oblivious_power 0.5);
+    ]
+
+(* The false verdict: oblivious powers always clear the noise floor,
+   so the protocol cannot produce one; a custom power vector can.  A
+   lone link under the noise floor is infeasible in every slot, repair
+   cannot fix it, and the fused verdict must read false exactly as
+   [is_valid] does.  With every power above the floor, repair splits
+   the one crowded slot into certified parts and both read true. *)
+let test_repair_verdict_noise_floor () =
+  let params = Params.make ~noise:1.0 () in
+  let ls = (random_agg 37 30).Agg_tree.links in
+  let n = Wa_sinr.Linkset.size ls in
+  let check name powers expected =
+    let crowded =
+      Schedule.of_slots
+        [ List.init n Fun.id ]
+        (Schedule.Scheme (Wa_sinr.Power.Custom powers))
+    in
+    let repaired, _, verdict = Schedule.repair_validated params ls crowded in
+    Alcotest.(check bool) (name ^ ": verdict") expected verdict;
+    Alcotest.(check bool)
+      (name ^ ": verdict = is_valid")
+      (Schedule.is_valid params ls repaired)
+      verdict
+  in
+  (* Received power 2·l^3/l^3 = 2 > beta·noise = 1 for every link. *)
+  let loud = Array.init n (fun i -> 2.0 *. (Wa_sinr.Linkset.length ls i ** 3.0)) in
+  check "every link above the floor" loud true;
+  let quiet = Array.copy loud in
+  quiet.(0) <- 0.5 *. (Wa_sinr.Linkset.length ls 0 ** 3.0);
+  check "one link under the floor" quiet false
+
 (* ------------------------------------------------------------ properties *)
 
 let qcheck_tests =
@@ -242,6 +292,10 @@ let () =
           Alcotest.test_case "rejects fixed" `Quick test_protocol_rejects_fixed;
           Alcotest.test_case "near-constant colors" `Quick test_protocol_colors_near_constant;
           Alcotest.test_case "phase cap fallback" `Quick test_protocol_phase_cap_fallback;
+          Alcotest.test_case "verdict is ground truth" `Quick
+            test_protocol_verdict_is_ground_truth;
+          Alcotest.test_case "noise-floor verdict" `Quick
+            test_repair_verdict_noise_floor;
         ]
         @ List.map QCheck_alcotest.to_alcotest qcheck_tests );
     ]

@@ -64,6 +64,35 @@ let test_unused_export () =
         v.Lint.file)
     report.Lint.violations
 
+(* The values [unused-export] reports when the rule sees only [files]
+   of the exportlike fixture (paths relative to it). *)
+let flagged_values files =
+  let report =
+    Lint.lint_paths ~config ~ref_paths:[]
+      (List.map (fun f -> "lint_fixtures/exportlike/" ^ f) files)
+  in
+  List.map
+    (fun v ->
+      Alcotest.(check string) "rule" "unused-export" v.Lint.rule;
+      (* "value <name> is exported by ..." *)
+      List.nth (String.split_on_char ' ' v.Lint.message) 1)
+    report.Lint.violations
+
+let test_unused_export_aliases () =
+  Alcotest.(check (list string))
+    "no consumer: both unsuppressed values flagged" [ "used_fn"; "dead_fn" ]
+    (flagged_values [ "exports.ml" ]);
+  List.iter
+    (fun consumer ->
+      Alcotest.(check (list string))
+        (consumer ^ ": the alias use counts, the alias keeps nothing else")
+        [ "dead_fn" ]
+        (flagged_values [ "exports.ml"; consumer ]))
+    [ "alias_consumer.ml"; "let_alias_consumer.ml"; "chain_consumer.ml" ];
+  Alcotest.(check (list string))
+    "an opened module stays wholesale-used" []
+    (flagged_values [ "opened_mod.ml"; "consumer.ml" ])
+
 let test_unused_export_inactive () =
   let report = Lint.lint_paths ~config [ "lint_fixtures/exportlike" ] in
   Alcotest.(check (list string))
@@ -181,6 +210,8 @@ let () =
             (check_single_rule "bad_printf_hot.ml" "printf-hot");
           Alcotest.test_case "missing-mli" `Quick test_missing_mli;
           Alcotest.test_case "unused-export" `Quick test_unused_export;
+          Alcotest.test_case "unused-export through aliases" `Quick
+            test_unused_export_aliases;
           Alcotest.test_case "unused-export off by default" `Quick
             test_unused_export_inactive;
           Alcotest.test_case "clean file" `Quick test_good;

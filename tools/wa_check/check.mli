@@ -101,7 +101,6 @@ type violation = {
 }
 
 val equal_violation : violation -> violation -> bool
-val compare_violation : violation -> violation -> int
 val pp_violation : Format.formatter -> violation -> unit
 
 val violation_to_json : violation -> Wa_util.Json.t
@@ -134,12 +133,6 @@ type file_report = {
   file_roots : int;
       (** Certified [[@wa.event_loop]] roots in this unit. *)
 }
-
-val file_report_to_json : file_report -> Wa_util.Json.t
-val file_report_of_json : Wa_util.Json.t -> (file_report, string) result
-(** Canonical codec for the cache: [of_json] of its own [to_json]
-    output reconstructs the report exactly, which is what makes warm
-    aggregate reports byte-identical to cold ones. *)
 
 type summaries = {
   tbl : Summary.table;

@@ -14,10 +14,6 @@ module SSet : Set.S with type elt = string
 type bound = { lb : float; strict : bool }
 (** A float lower bound: value [>= lb], or [> lb] when [strict]. *)
 
-val meet_bound : bound option -> bound option -> bound option
-(** Weakest claim of two construction sites; [None] (no information)
-    absorbs. *)
-
 val bound_positive : bound option -> bool
 (** The bound proves the value nonzero (positive). *)
 
@@ -116,7 +112,6 @@ type fn_summary = {
 
 type table
 
-val empty_table : unit -> table
 val find : table -> string -> fn_summary option
 
 val lookup : table -> string -> fn_summary option

@@ -41,10 +41,15 @@
    - [missing-mli]: a [.ml] under a configured root (default [lib/])
      with no sibling [.mli].
    - [unused-export]: a value exported by a [.mli] under a configured
-     root but never referenced outside its own module.  Only active
-     when the caller supplies the reference scan set ([ref_paths]):
-     deciding "never referenced" requires seeing every consumer, so
-     partial scans (the smoke subset) skip the rule rather than lie.
+     root (default [lib/] and [tools/]) but never referenced outside
+     its own module.  References through module aliases
+     ([module X = M], [let module X = M in], chains of them) count
+     against [M]'s own values; only an [open], [include], functor
+     argument, [module type of] or packed module makes a module's
+     whole interface count as used.  Only active when the caller
+     supplies the reference scan set ([ref_paths]): deciding "never
+     referenced" requires seeing every consumer, so partial scans
+     (the smoke subset) skip the rule rather than lie.
 
    Suppressions: [[@wa.lint.allow "rule ..."]] on the offending
    expression, or a floating [[@@@wa.lint.allow "rule ..."]] to waive
@@ -101,7 +106,7 @@ module Config = struct
       unix_allowed = [ "lib/service/"; "lib/fleet/"; "lib/io/"; "bin/"; "bench/" ];
       float_modules = [ "Link"; "Vec2"; "Float" ];
       mli_required_roots = [ "lib/" ];
-      export_roots = [ "lib/" ];
+      export_roots = [ "lib/"; "tools/" ];
     }
 end
 
@@ -526,48 +531,76 @@ let exports_of_mli mli =
 let is_value_name v =
   v <> "" && not (v.[0] >= 'A' && v.[0] <= 'Z')
 
-(* Qualified references of one parsed file: [M.v] (or [Lib.M.v]) marks
-   [(M, v)] used; a module appearing as an open / include / alias
-   right-hand side / functor argument / packed module is marked
-   wholesale-used — its exports are no longer individually trackable,
-   so the rule stays silent about them (conservative, no false
-   positives through aliases). *)
+(* Qualified references of one parsed file.  [M.v] (or [Lib.M.v])
+   marks [(M, v)] used.  Aliases resolve in place: each
+   [module X = A.B.M] binding, at any nesting, and each
+   [let module X = A.B.M in] binding records X -> M; chains resolve
+   transitively, and [X.v] marks [(M, v)] for every module X is bound
+   to anywhere in the file (conservative without scope tracking).  A
+   module that is opened ([open], [let open], [M.(...)]), included,
+   passed to a functor, named in [module type of] or packed is marked
+   wholesale-used: its exports are no longer individually trackable,
+   so the rule stays silent about them. *)
 let references_of_structure structure =
-  let used = Hashtbl.create 64 in
-  let wholesale = Hashtbl.create 16 in
+  let aliases = Hashtbl.create 16 in
+  let refs = ref [] in
+  let whole = ref [] in
+  let flatten l = match Longident.flatten l with p -> p | exception _ -> [] in
   let value_ref l =
-    match Longident.flatten l with
-    | exception _ -> ()
-    | parts -> (
-        match List.rev (strip_stdlib parts) with
-        | v :: m :: _ when is_value_name v && not (is_value_name m) ->
-            Hashtbl.replace used (m, v) ()
-        | _ -> ())
+    match List.rev (strip_stdlib (flatten l)) with
+    | v :: m :: _ when is_value_name v && not (is_value_name m) ->
+        refs := (m, v) :: !refs
+    | _ -> ()
   in
-  let module_ref l =
-    match Longident.flatten l with
-    | exception _ -> ()
-    | parts -> List.iter (fun m -> Hashtbl.replace wholesale m ()) parts
+  let alias x l =
+    match List.rev (flatten l) with
+    | m :: _ -> Hashtbl.add aliases x m
+    | [] -> ()
   in
   let open Ast_iterator in
+  (* [module _ = M] binds no name: it falls through to [module_expr]
+     and stays wholesale like any other module expression. *)
   let it =
     {
       default_iterator with
       expr =
         (fun it e ->
-          (match e.pexp_desc with
+          match e.pexp_desc with
+          | Pexp_letmodule
+              ({ txt = Some x; _ }, { pmod_desc = Pmod_ident lid; _ }, body)
+            ->
+              alias x lid.txt;
+              it.expr it body
           | Pexp_ident { txt; _ } -> value_ref txt
-          | _ -> ());
-          default_iterator.expr it e);
+          | _ -> default_iterator.expr it e);
+      module_binding =
+        (fun it mb ->
+          match (mb.pmb_name.txt, mb.pmb_expr.pmod_desc) with
+          | Some x, Pmod_ident lid -> alias x lid.txt
+          | _ -> default_iterator.module_binding it mb);
       module_expr =
         (fun it me ->
           (match me.pmod_desc with
-          | Pmod_ident { txt; _ } -> module_ref txt
+          | Pmod_ident { txt; _ } -> whole := flatten txt @ !whole
           | _ -> ());
           default_iterator.module_expr it me);
     }
   in
   it.structure it structure;
+  (* [m] and every module it reaches through aliases. *)
+  let rec targets seen m =
+    if List.mem m seen then seen
+    else List.fold_left targets (m :: seen) (Hashtbl.find_all aliases m)
+  in
+  let used = Hashtbl.create 64 in
+  let wholesale = Hashtbl.create 16 in
+  List.iter
+    (fun (m, v) ->
+      List.iter (fun t -> Hashtbl.replace used (t, v) ()) (targets [] m))
+    !refs;
+  List.iter
+    (fun m -> List.iter (fun t -> Hashtbl.replace wholesale t ()) (targets [] m))
+    !whole;
   (used, wholesale)
 
 (* One checked module: its implementation path, sibling interface, and

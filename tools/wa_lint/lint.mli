@@ -16,8 +16,9 @@
     - [obj-magic] — [Obj.magic];
     - [printf-hot] — [Printf.*] inside a configured hot path;
     - [missing-mli] — a library [.ml] with no sibling [.mli];
-    - [unused-export] — a value exported by a library [.mli] but never
-      referenced outside its own module (only with [?ref_paths]);
+    - [unused-export] — a value exported by a library or tool [.mli]
+      but never referenced outside its own module, seeing through
+      module aliases (only with [?ref_paths]);
     - [parse-error] — the file does not parse.
 
     Suppress with [[@wa.lint.allow "rule …"]] on the offending
@@ -47,8 +48,9 @@ module Config : sig
   val default : t
   (** The project rules: hot paths [lib/sinr/] + [lib/core/conflict.ml],
       atomics confined to [lib/obs/] + [lib/util/parallel.ml], syscalls
-      confined to [lib/service/] + [lib/io/] + [bin/] + [bench/], [.mli]
-      required (and exports audited) under [lib/]. *)
+      confined to [lib/service/] + [lib/fleet/] + [lib/io/] + [bin/] +
+      [bench/], [.mli] required under [lib/], exports audited under
+      [lib/] and [tools/]. *)
 end
 
 type violation = {
@@ -60,7 +62,6 @@ type violation = {
 }
 
 val equal_violation : violation -> violation -> bool
-val compare_violation : violation -> violation -> int
 val pp_violation : Format.formatter -> violation -> unit
 
 val violation_to_json : violation -> Wa_util.Json.t
@@ -83,9 +84,15 @@ val lint_paths : ?config:Config.t -> ?ref_paths:string list -> string list -> re
     alias invocations) never double-report.
 
     Passing [?ref_paths] activates [unused-export]: the [.mli]s under
-    [Config.export_roots] are audited for values never referenced
-    from any other scanned file, where the reference set is the
-    scanned files plus everything under [ref_paths] (reference-only:
-    those files are parsed but not linted or counted).  Without
+    [Config.export_roots] ([lib/] and [tools/] by default) are audited
+    for values never referenced from any other scanned file, where the
+    reference set is the scanned files plus everything under
+    [ref_paths] (reference-only: those files are parsed but not linted
+    or counted).  Aliases resolve per file: [module X = A.B.M] (at any
+    nesting) and [let module X = A.B.M in] bind [X] to [M],
+    transitively, and [X.v] then counts as a use of [M.v] for every
+    module [X] is bound to in that file.  A module that is opened
+    ([open], [let open], [M.(…)]), included, passed to a functor, named
+    in [module type of] or packed counts as used in full.  Without
     [?ref_paths] the rule stays off — a partial scan cannot decide
     "never referenced". *)

@@ -2,7 +2,9 @@
    wa_lint [--json FILE] [--quiet] [--list-rules] [--refs PATH] PATH...
 
    --refs names reference-only scan roots (parsed for cross-module
-   references, not linted) and activates the unused-export rule.
+   references, not linted) and activates the unused-export rule, which
+   audits the exports of lib/ and tools/ and sees through module
+   aliases.
    Exit status: 0 clean, 1 violations found, 2 usage/setup error. *)
 
 module Lint = Wa_lint_core.Lint
