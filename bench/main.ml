@@ -124,13 +124,8 @@ let scaling_row n =
   let equivalent =
     Option.map (fun (g, _) -> sorted_edges g = sorted_edges g_indexed) dense
   in
-  let _, pressure_indexed_ms =
-    timed (fun () -> Wa_core.Refinement.max_longer_pressure ~index ~tol:1e-6 p ls)
-  in
-  let pressure_dense_ms =
-    if n <= dense_reference_limit then
-      Some (snd (timed (fun () -> Wa_core.Refinement.max_longer_pressure p ls)))
-    else None
+  let _, pressure_ms =
+    timed (fun () -> Wa_core.Refinement.longer_pressure p ls)
   in
   let _, inductive_indexed_ms =
     timed (fun () -> C.inductive_independence ~engine:`Indexed ~index p th ls)
@@ -168,8 +163,7 @@ let scaling_row n =
         ("graph_speedup", fopt speedup);
         ( "graph_equivalent",
           match equivalent with Some b -> Bool b | None -> Null );
-        ("pressure_indexed_ms", Float pressure_indexed_ms);
-        ("pressure_dense_ms", fopt pressure_dense_ms);
+        ("pressure_ms", Float pressure_ms);
         ("inductive_indexed_ms", Float inductive_indexed_ms);
         ("inductive_dense_ms", fopt inductive_dense_ms);
         ("schedule_ms", Float schedule_ms);

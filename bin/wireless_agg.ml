@@ -228,10 +228,7 @@ let run_plan seed n side deploy power alpha beta json dot points_in audit tel =
   let* params = build_params alpha beta in
   let* mode = parse_power power in
   let* ps = obtain_deployment points_in deploy ~seed ~n ~side params in
-  (* Lemma-1 pressure is a proof quantity, not plan input: only the
-     audit run asks for it, and prints it beside the audit report. *)
-  let pressure = if audit then Some `Exact else None in
-  let plan = Pipeline.plan ~params ~audit ?pressure mode ps in
+  let plan = Pipeline.plan ~params ~audit mode ps in
   Printf.printf "deployment: %s (n=%d, seed=%d)\n"
     (match points_in with Some f -> f | None -> deploy)
     (Wa_geom.Pointset.size ps) seed;
@@ -254,11 +251,11 @@ let run_plan seed n side deploy power alpha beta json dot points_in audit tel =
   match plan.Pipeline.audit with
   | None -> Ok ()
   | Some report ->
-      Option.iter
-        (fun p ->
-          Printf.printf "Lemma-1 pressure: %.2f\n"
-            p.Wa_core.Refinement.max_pressure)
-        plan.Pipeline.pressure;
+      (* Lemma-1 pressure is a proof quantity, not plan input: only the
+         audit run measures it, and prints it beside the audit report. *)
+      Printf.printf "Lemma-1 pressure: %.2f\n"
+        (Wa_core.Refinement.longer_pressure params
+           plan.Pipeline.agg.Agg_tree.links);
       Format.printf "%a@." Wa_analysis.Audit.pp_report report;
       if Wa_analysis.Audit.ok report then Ok ()
       else Error (`Msg "audit failed: plan violates its invariants")
@@ -417,7 +414,8 @@ let run_kconnect seed n side deploy alpha beta k =
       Printf.printf "k-edge-connected: %b\n"
         (Wa_core.K_connectivity.is_k_edge_connected kc);
       Printf.printf "Lemma-1 pressure: %.2f\n"
-        (Wa_core.K_connectivity.max_longer_pressure params kc);
+        (Wa_core.Refinement.longer_pressure params
+           kc.Wa_core.K_connectivity.links);
       Printf.printf "verified schedule: %d slots (%d repair splits)\n"
         (Wa_core.Schedule.length sched) repairs;
       Ok ()

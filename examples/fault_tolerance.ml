@@ -10,6 +10,7 @@ module Schedule = Wa_core.Schedule
 module Simulator = Wa_core.Simulator
 module Pipeline = Wa_core.Pipeline
 module K_connectivity = Wa_core.K_connectivity
+module Refinement = Wa_core.Refinement
 
 let p = P.default
 
@@ -53,7 +54,7 @@ let () =
       Printf.printf "%-3d %6d %12b %10.2f %8d\n" k
         (Wa_sinr.Linkset.size kc.K_connectivity.links)
         (K_connectivity.is_k_edge_connected kc)
-        (K_connectivity.max_longer_pressure p kc)
+        (Refinement.longer_pressure p kc.K_connectivity.links)
         (Schedule.length sched))
     [ 1; 2; 3 ];
   print_endline

@@ -114,55 +114,6 @@ let sinr_check params ls ~power_of_slot ~slots =
         slots;
       List.rev !out)
 
-let pressure_check params ls ~tol ~max_pressure ~error_bound =
-  let name = "pressure.approx" in
-  make_check name (fun () ->
-      let out = ref [] in
-      if not (error_bound <= tol) then
-        out :=
-          v ~check:name ~subject:"report"
-            (Format.asprintf
-               "certified error bound %.6g exceeds the declared tolerance %.6g"
-               error_bound tol)
-          :: !out;
-      if not (Float.is_finite max_pressure && max_pressure >= 0.0) then
-        out :=
-          v ~check:name ~subject:"report"
-            (Format.asprintf "max pressure %.6g is not a finite non-negative"
-               max_pressure)
-          :: !out;
-      (* Re-derive the certificate on a sample: a fresh far-field tree
-         (independent of the one the plan used) must bracket the exact
-         flat kernel within its own per-link bound, and that bound must
-         respect the declared tolerance. *)
-      let ff = Wa_sinr.Far_field.build ls in
-      let n = Wa_sinr.Linkset.size ls in
-      let samples = Int.min 32 n in
-      for k = 0 to samples - 1 do
-        let i = k * n / samples in
-        let approx, err = Wa_sinr.Far_field.longer_pressure ff params ls ~tol i in
-        let exact = Wa_sinr.Affectance.mst_longer_pressure_flat params ls i in
-        (* Bracket ends are rounded floats; allow relative slop. *)
-        let slop = 1e-9 *. (1.0 +. Float.abs exact) in
-        if err > tol +. slop then
-          out :=
-            v ~check:name
-              ~subject:(Format.asprintf "link %d" i)
-              (Format.asprintf "per-link error bound %.6g exceeds tol %.6g" err
-                 tol)
-            :: !out;
-        if Float.abs (approx -. exact) > err +. slop then
-          out :=
-            v ~check:name
-              ~subject:(Format.asprintf "link %d" i)
-              (Format.asprintf
-                 "approx pressure %.9g differs from exact %.9g by more than \
-                  the certified bound %.6g"
-                 approx exact err)
-            :: !out
-      done;
-      List.rev !out)
-
 (* --- aggregation-tree check ----------------------------------------- *)
 
 let tree_check tree =

@@ -54,20 +54,6 @@ val sinr_check :
     [power_of_slot] (one violation per failing link; a [None] witness
     is itself a violation). *)
 
-val pressure_check :
-  Wa_sinr.Params.t ->
-  Wa_sinr.Linkset.t ->
-  tol:float ->
-  max_pressure:float ->
-  error_bound:float ->
-  check
-(** Certify an approximate Lemma-1 pressure report: the reported
-    worst-case [error_bound] must respect the declared [tol], and on a
-    sample of links a freshly built {!Wa_sinr.Far_field} evaluator
-    must agree with the exact flat kernel
-    ({!Wa_sinr.Affectance.mst_longer_pressure_flat}) within its own
-    per-link certificate. *)
-
 val tree_check : Wa_graph.Tree.t -> check
 (** Rootedness and acyclicity: the sink is the unique parentless node,
     every parent walk reaches it within [n-1] hops, depths are

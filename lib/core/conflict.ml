@@ -2,7 +2,6 @@ module Params = Wa_sinr.Params
 module Linkset = Wa_sinr.Linkset
 module Link_index = Wa_sinr.Link_index
 module Graph = Wa_graph.Graph
-module Growth = Wa_util.Growth
 module Parallel = Wa_util.Parallel
 
 (* Metric handles are resolved once at module init (registry lookups
@@ -44,10 +43,12 @@ let[@wa.hot] eval (p : Params.t) th x =
   | Log_power gamma ->
       (* Every construction of [Params.t] proves alpha > 2, so the
          whole-program field-bound summary discharges the exponent
-         denominator here. *)
+         denominator here.  [log x /. log 2.0] is [Growth.log2]'s own
+         body, written inline: across modules under [-opaque] the call
+         would return its float boxed. *)
       gamma
       *. Float.max 1.0
-           (Growth.log2 x ** (2.0 /. (p.Params.alpha -. 2.0)))
+           ((log x /. log 2.0) ** (2.0 /. (p.Params.alpha -. 2.0)))
 
 (* [Linkset.dist], inlined over the struct-of-arrays: under [-opaque]
    the call would return every distance boxed.  The fast path is

@@ -5,7 +5,6 @@ module Union_find = Wa_graph.Union_find
 module Linkset = Wa_sinr.Linkset
 module Link = Wa_sinr.Link
 module Params = Wa_sinr.Params
-module Affectance = Wa_sinr.Affectance
 
 type t = {
   points : Pointset.t;
@@ -95,10 +94,3 @@ let is_k_edge_connected t =
   end
 
 let schedule ?gamma p t mode = Greedy_schedule.schedule ?gamma p t.links mode
-
-let max_longer_pressure p t =
-  let worst = ref 0.0 in
-  for i = 0 to Linkset.size t.links - 1 do
-    worst := Float.max !worst (Affectance.mst_longer_pressure p t.links i)
-  done;
-  !worst

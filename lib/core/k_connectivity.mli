@@ -43,6 +43,3 @@ val schedule :
   Greedy_schedule.mode ->
   Schedule.t * int
 (** Greedy coloring + verification/repair of all k·(n-1) links. *)
-
-val max_longer_pressure : Wa_sinr.Params.t -> t -> float
-(** The Lemma-1 constant of the union link set (paper: O(k⁴)). *)

@@ -14,7 +14,6 @@ type plan = {
   repair_added : int;
   point_diversity : float;
   link_diversity : float;
-  pressure : Refinement.pressure_report option;
   valid : bool;
   audit : Wa_analysis.Audit.report option;
 }
@@ -39,7 +38,7 @@ module Audit = Wa_analysis.Audit
    Wa_analysis.Audit).  The SINR witness mirrors the schedule's power
    mode: a fixed scheme is its own witness; in the arbitrary-power
    regime each slot's witness is a freshly solved Custom vector. *)
-let audit_plan ?gamma ?pressure_report ~params ~mode agg (schedule : Schedule.t) =
+let audit_plan ?gamma ~params ~mode agg (schedule : Schedule.t) =
   let ls = agg.Agg_tree.links in
   let power_of_slot =
     match schedule.Schedule.power_mode with
@@ -61,17 +60,6 @@ let audit_plan ?gamma ?pressure_report ~params ~mode agg (schedule : Schedule.t)
             ~candidate:(fun () -> Conflict.graph_indexed params th ls);
         ]
   in
-  let pressure_checks =
-    match pressure_report with
-    | Some
-        {
-          Refinement.pressure_mode = `Approx tol;
-          max_pressure;
-          error_bound;
-        } ->
-        [ Audit.pressure_check params ls ~tol ~max_pressure ~error_bound ]
-    | Some { Refinement.pressure_mode = `Exact; _ } | None -> []
-  in
   Audit.run_checks
     ([
        Audit.partition_check ~n_links:(Linkset.size ls)
@@ -80,11 +68,11 @@ let audit_plan ?gamma ?pressure_report ~params ~mode agg (schedule : Schedule.t)
          ~slots:schedule.Schedule.slots;
        Audit.tree_check agg.Agg_tree.tree;
      ]
-    @ engine_checks @ pressure_checks
+    @ engine_checks
     @ [ Audit.report_consistency_check (fun () -> Wa_obs.Report.capture ()) ])
 
 let plan ?(params = Params.default) ?gamma ?(engine = `Indexed) ?(sink = 0)
-    ?tree_edges ?(audit = false) ?pressure power_mode ps =
+    ?tree_edges ?(audit = false) power_mode ps =
   Trace.with_span "pipeline.plan" @@ fun () ->
   let agg =
     Trace.with_span "plan.mst" @@ fun () ->
@@ -131,18 +119,6 @@ let plan ?(params = Params.default) ?gamma ?(engine = `Indexed) ?(sink = 0)
   Metrics.set m_links (float_of_int (Linkset.size ls));
   let link_diversity = Linkset.diversity ls in
   Metrics.set m_link_diversity link_diversity;
-  (* Lemma-1 pressure is a proof device, not an input to the plan, so
-     it runs only when the caller names a mode; whether telemetry is on
-     never changes what is computed.  [`Exact] runs the flat
-     struct-of-arrays kernel; [`Approx tol] the certified far-field
-     evaluator (the only tractable option at very large n). *)
-  let pressure_report =
-    Option.map
-      (fun mode ->
-        Trace.with_span "plan.affectance" (fun () ->
-            Refinement.longer_pressure ~mode params ls))
-      pressure
-  in
   let point_diversity =
     Trace.with_span "plan.diversity" @@ fun () ->
     match tree_edges with
@@ -160,7 +136,7 @@ let plan ?(params = Params.default) ?gamma ?(engine = `Indexed) ?(sink = 0)
     if audit then
       Some
         (Trace.with_span "plan.audit" (fun () ->
-             audit_plan ?gamma ?pressure_report ~params ~mode agg schedule))
+             audit_plan ?gamma ~params ~mode agg schedule))
     else None
   in
   {
@@ -171,7 +147,6 @@ let plan ?(params = Params.default) ?gamma ?(engine = `Indexed) ?(sink = 0)
     repair_added;
     point_diversity;
     link_diversity;
-    pressure = pressure_report;
     valid;
     audit;
   }

@@ -20,10 +20,6 @@ type plan = {
   repair_added : int;  (** Slots added by the repair pass. *)
   point_diversity : float;  (** Δ of the pointset. *)
   link_diversity : float;  (** Δ(L) of the MST links. *)
-  pressure : Refinement.pressure_report option;
-      (** Measured Lemma-1 pressure (with its certified error bound in
-          approximate mode).  Present iff [plan] ran with a
-          [~pressure] mode. *)
   valid : bool;  (** Result of the final ground-truth validation. *)
   audit : Wa_analysis.Audit.report option;
       (** Present iff [plan] ran with [~audit:true]. *)
@@ -36,7 +32,6 @@ val plan :
   ?sink:int ->
   ?tree_edges:(int * int) list ->
   ?audit:bool ->
-  ?pressure:Refinement.pressure_mode ->
   power_mode ->
   Wa_geom.Pointset.t ->
   plan
@@ -54,14 +49,9 @@ val plan :
     agreement (thresholded modes only — this rebuilds both graphs, so
     expect O(n²) audit cost), and telemetry-report consistency.
 
-    [pressure] (default: none) evaluates the Lemma-1 pressure, a proof
-    quantity the plan itself never reads, in span ["plan.affectance"]:
-    [`Exact] runs the exact kernel, [`Approx tol] the certified
-    far-field evaluator.  Without it the stage is skipped whether or
-    not telemetry is on — observation never changes what is computed.
-    Combined with [~audit:true], an approximate report is certified
-    against the exact kernel on a sample of links (check
-    ["pressure.approx"]). *)
+    A plan never computes Lemma-1 pressure, a proof quantity it does not
+    read: callers that want it (experiments, [plan --audit]) call
+    {!Refinement.longer_pressure} on [agg.links] themselves. *)
 
 val slots : plan -> int
 val rate : plan -> float

@@ -41,51 +41,16 @@ let bucket_count t = Array.length t.buckets
 
 let m_max_pressure = Wa_obs.Metrics.gauge "affectance.max_pressure"
 
-let max_longer_pressure ?index ?tol p ls =
+(* The batch sweep does half the pair kernels of per-link calls
+   (longer-sets are prefixes of the length order); a per-link fan-out
+   would re-scan the whole array per link, so batching beats
+   parallelizing here even on multi-core. *)
+let longer_pressure p ls =
   Wa_obs.Trace.with_span "affectance.pressure" @@ fun () ->
-  let v =
-    Wa_util.Parallel.fold_float_max
-      (fun i -> Affectance.mst_longer_pressure ?index ?tol p ls i)
-      (Linkset.size ls) 0.0
-  in
+  let per_link = Affectance.mst_longer_pressure_all p ls in
+  let v = Array.fold_left Float.max 0.0 per_link in
   Wa_obs.Metrics.set m_max_pressure v;
   v
-
-type pressure_mode = [ `Exact | `Approx of float ]
-
-type pressure_report = {
-  max_pressure : float;
-  error_bound : float;
-  pressure_mode : pressure_mode;
-}
-
-let longer_pressure ?(mode = `Exact) p ls =
-  Wa_obs.Trace.with_span "affectance.pressure" @@ fun () ->
-  let report =
-    match mode with
-    | `Exact ->
-        (* The batch sweep does half the pair kernels of per-link flat
-           calls (longer-sets are prefixes of the length order); the
-           per-link fan-out would re-scan the whole array per link, so
-           batching beats parallelizing here even on multi-core. *)
-        let per_link = Affectance.mst_longer_pressure_all p ls in
-        let v = Array.fold_left Float.max 0.0 per_link in
-        { max_pressure = v; error_bound = 0.0; pressure_mode = `Exact }
-    | `Approx tol ->
-        let ff = Wa_sinr.Far_field.build ls in
-        let n = Linkset.size ls in
-        let per_link =
-          Wa_util.Parallel.init n (fun i ->
-              Wa_sinr.Far_field.longer_pressure ff p ls ~tol i)
-        in
-        (* max over links of the bracket midpoints; the true maximum
-           differs from it by at most the worst per-link bound. *)
-        let v = Array.fold_left (fun a (x, _) -> Float.max a x) 0.0 per_link in
-        let e = Array.fold_left (fun a (_, x) -> Float.max a x) 0.0 per_link in
-        { max_pressure = v; error_bound = e; pressure_mode = mode }
-  in
-  Wa_obs.Metrics.set m_max_pressure report.max_pressure;
-  report
 
 let buckets_g1_independent p ls t =
   let gamma = t.kappa ** (-1.0 /. p.Params.alpha) in

@@ -21,34 +21,12 @@ val refine : ?kappa:float -> Wa_sinr.Params.t -> Wa_sinr.Linkset.t -> t
 
 val bucket_count : t -> int
 
-val max_longer_pressure :
-  ?index:Wa_sinr.Link_index.t ->
-  ?tol:float ->
-  Wa_sinr.Params.t -> Wa_sinr.Linkset.t -> float
+val longer_pressure : Wa_sinr.Params.t -> Wa_sinr.Linkset.t -> float
 (** [max_i I(i, T⁺_i)] — the measured Lemma-1 constant of the link
-    set.  The per-link sums fan out over domains; [index] / [tol] are
-    passed to {!Wa_sinr.Affectance.mst_longer_pressure} (indexed
-    class-skipping enumeration, optional [tol]-bounded truncation). *)
-
-type pressure_mode = [ `Exact | `Approx of float ]
-
-type pressure_report = {
-  max_pressure : float;  (** [max_i I(i, T⁺_i)], exact or bracketed. *)
-  error_bound : float;
-      (** Worst per-link certified half-width: the exact maximum lies
-          within this of [max_pressure].  [0.] in exact mode. *)
-  pressure_mode : pressure_mode;
-}
-
-val longer_pressure :
-  ?mode:pressure_mode ->
-  Wa_sinr.Params.t -> Wa_sinr.Linkset.t -> pressure_report
-(** The Lemma-1 pressure pass of the cold-plan path.  [`Exact]
-    (default) runs the flat struct-of-arrays kernel
-    ({!Wa_sinr.Affectance.mst_longer_pressure_flat}, bit-identical to
-    the dense oracle); [`Approx tol] runs the far-field quadtree
-    evaluator ({!Wa_sinr.Far_field}) with every per-link value
-    certified to within [tol].  Both fan out over domains. *)
+    set, the maximum of {!Wa_sinr.Affectance.mst_longer_pressure_all}
+    (exact).  Runs in span ["affectance.pressure"] and records gauge
+    ["affectance.max_pressure"].  A plan never reads it: experiments,
+    [plan --audit] and [kconnect] call it themselves. *)
 
 val buckets_g1_independent : Wa_sinr.Params.t -> Wa_sinr.Linkset.t -> t -> bool
 (** Checks the Theorem-2 argument concretely: every bucket is an

@@ -105,13 +105,14 @@ let first_fit_split p ls mode slot =
    a geometric pre-split. *)
 let exact_split_limit = 80
 
-(* Split a large infeasible slot by coloring its links against a
-   tighter constant-threshold conflict graph (cheap, geometric), then
-   recurse into each class; fall back to exact first-fit when the
-   geometric split stops making progress. *)
+(* Split a slot already found infeasible: a large one by coloring its
+   links against a tighter constant-threshold conflict graph (cheap,
+   geometric), then recursing into each class that fails its own check;
+   fall back to exact first-fit when the geometric split stops making
+   progress.  The caller's verdict on [slot] stands, so it is never
+   re-solved here. *)
 let rec split_slot ?(gamma = 2.0) p ls mode slot =
-  if slot_feasible ~quick:true p ls mode slot then [ slot ]
-  else if List.length slot <= exact_split_limit || gamma > 64.0 then
+  if List.length slot <= exact_split_limit || gamma > 64.0 then
     first_fit_split p ls mode slot
   else begin
     let members = Array.of_list slot in
@@ -152,7 +153,8 @@ let rec split_slot ?(gamma = 2.0) p ls mode slot =
       Array.to_list (Wa_graph.Coloring.classes coloring)
       |> List.concat_map (fun class_members ->
              let sub = List.map (fun a -> members.(a)) class_members in
-             split_slot ~gamma p ls mode sub)
+             if slot_feasible ~quick:true p ls mode sub then [ sub ]
+             else split_slot ~gamma p ls mode sub)
   end
 
 (* Greedily merge the parts a split produced: the geometric pre-split
@@ -179,12 +181,14 @@ let m_repair_added = Wa_obs.Metrics.counter "schedule.repair_added"
 let m_repair_split = Wa_obs.Metrics.counter "schedule.repair_split_slots"
 
 (* Single-pass repair-with-verification: every slot that survives
-   untouched was just checked feasible, and every slot produced by a
-   split is re-checked individually (splits are rare and their parts
-   small), so the validity verdict falls out of the same pass instead
-   of a second full [is_valid] sweep that re-solves every slot.  The
-   only way [valid] can be false is a link that is infeasible even
-   alone (noise floor above its own SINR). *)
+   untouched was just checked feasible, and every multi-link part of a
+   split was accepted by the check that formed it (in [split_slot],
+   [first_fit_split] or [merge_parts]), so the validity verdict falls
+   out of the same pass instead of a second full [is_valid] sweep that
+   re-solves every slot.  Only singletons can reach the result
+   unchecked ([first_fit_split] opens one without a solve); their
+   check is the O(1) noise-floor test, and it is the only way [valid]
+   can be false: a link infeasible even alone. *)
 let repair_validated p ls t =
   Wa_obs.Trace.with_span "schedule.repair" @@ fun () ->
   let before = length t in
@@ -208,9 +212,11 @@ let repair_validated p ls t =
                merge_parts p ls t.power_mode pieces
              in
              List.iter
-               (fun part ->
-                 if not (slot_feasible ~quick:true p ls t.power_mode part) then
-                   all_feasible := false)
+               (function
+                 | [ _ ] as part when not (slot_feasible p ls t.power_mode part)
+                   ->
+                     all_feasible := false
+                 | _ -> ())
                parts;
              parts
            end)

@@ -52,11 +52,13 @@ val repair_validated :
 (** [repair] fused with validation: the boolean is the {!is_valid}
     verdict on the repaired schedule, derived from the same per-slot
     feasibility checks repair already runs (untouched slots were just
-    checked; split parts are re-checked individually) plus a [covers]
-    sweep — a single solver pass per slot instead of the two that
-    [repair] followed by [is_valid] costs.  The verdict can only be
-    [false] when some link is infeasible even in a singleton slot
-    (noise floor) or the input partition was malformed. *)
+    checked; every multi-link part of a split was accepted by the
+    check that formed it, and only singleton parts get their O(1)
+    noise-floor check) plus a [covers] sweep — each slot solved once
+    instead of the twice that [repair] followed by [is_valid] costs.
+    The verdict can only be [false] when some link is infeasible even
+    in a singleton slot (noise floor) or the input partition was
+    malformed. *)
 
 val reorder_for_latency : Wa_graph.Tree.t -> Wa_sinr.Linkset.t -> t -> t
 (** Permutes the slots (feasibility and rate are order-invariant) so

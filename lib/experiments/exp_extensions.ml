@@ -13,6 +13,7 @@ module Simulator = Wa_core.Simulator
 module Pipeline = Wa_core.Pipeline
 module Greedy_schedule = Wa_core.Greedy_schedule
 module K_connectivity = Wa_core.K_connectivity
+module Refinement = Wa_core.Refinement
 module Functions = Wa_core.Functions
 module Random_deploy = Wa_instances.Random_deploy
 
@@ -219,7 +220,7 @@ let t12_k_connectivity ~quick =
           string_of_int k;
           string_of_int (Linkset.size kc.K_connectivity.links);
           (if K_connectivity.is_k_edge_connected kc then "yes" else "NO");
-          Printf.sprintf "%.2f" (K_connectivity.max_longer_pressure p kc);
+          Printf.sprintf "%.2f" (Refinement.longer_pressure p kc.K_connectivity.links);
           string_of_int (Schedule.length sched_g);
           string_of_int (Schedule.length sched_o);
           string_of_int (rep_g + rep_o);

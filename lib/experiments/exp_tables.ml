@@ -121,7 +121,7 @@ let t2_theorem2_constant ~quick =
         string_of_int (Pointset.size ps);
         string_of_int (g1_colors ls);
         string_of_int (Refinement.bucket_count r);
-        Printf.sprintf "%.2f" (Refinement.max_longer_pressure p ls);
+        Printf.sprintf "%.2f" (Refinement.longer_pressure p ls);
         string_of_int (Conflict.inductive_independence p (Conflict.constant ()) ls);
         string_of_int (Conflict.inductive_independence p (Conflict.log_power ()) ls);
       ]

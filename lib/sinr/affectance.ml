@@ -32,54 +32,14 @@ let relative_total p ls ~power s i =
     (fun acc j -> if j = i then acc else acc +. relative p ls ~power j i)
     0.0 s
 
-(* Flat twin of the dense arm of [mst_longer_pressure] below: the same
-   terms ([additive p ls i j] inlined), the same [Linkset.dist]
-   argument order, the same ascending-j accumulation — with the
-   alpha-power resolved once and lengths read from the flat array, so
-   the result is bit-identical to the record-based oracle while the
-   loop stays allocation-free. *)
-let[@wa.hot] mst_longer_pressure_flat (p : Params.t) ls i =
-  let lengths = Linkset.lengths ls in
-  let sx = Linkset.sender_xs ls and sy = Linkset.sender_ys ls in
-  let rx = Linkset.receiver_xs ls and ry = Linkset.receiver_ys ls in
-  let li = lengths.(i) in
-  let sxi = sx.(i) and syi = sy.(i) and rxi = rx.(i) and ryi = ry.(i) in
-  let n = Array.length lengths in
-  let total = ref 0.0 in
-  for j = 0 to n - 1 do
-    if j <> i && lengths.(j) >= li then begin
-      (* [additive p ls i j] computes [Linkset.dist ls j i] and
-         min(1, (l_i/d)^alpha).  The distance is [Linkset.dist]'s fast
-         path inlined — same squared forms, same min tree, same guard,
-         so the same bits — with the degenerate cases delegated back
-         to the one copy of the slow-path logic. *)
-      let dx1 = sx.(j) -. sxi and dy1 = sy.(j) -. syi in
-      let dx2 = sx.(j) -. rxi and dy2 = sy.(j) -. ryi in
-      let dx3 = rx.(j) -. sxi and dy3 = ry.(j) -. syi in
-      let dx4 = rx.(j) -. rxi and dy4 = ry.(j) -. ryi in
-      let ss = (dx1 *. dx1) +. (dy1 *. dy1) in
-      let sr = (dx2 *. dx2) +. (dy2 *. dy2) in
-      let rs = (dx3 *. dx3) +. (dy3 *. dy3) in
-      let rr = (dx4 *. dx4) +. (dy4 *. dy4) in
-      let m = Float.min (Float.min ss sr) (Float.min rs rr) in
-      let d =
-        if m >= 1e-300 && m < 1e300 then sqrt m else Linkset.dist ls j i
-      in
-      let term =
-        if d <= 0.0 then 1.0
-        else Float.min 1.0 (Params.pow_apply p (li /. d))
-      in
-      total := !total +. term
-    end
-  done;
-  !total
-
 (* Batch exact pressure for every link at once.  Links are visited in
    descending-length order, so the set {j : l_j >= l_i} is exactly a
    prefix of the order (ties grouped; [group_end] marks the end of each
    tie run) and the all-links sweep does n²/2 pair evaluations instead
-   of the n² of n independent [mst_longer_pressure_flat] calls.  Each
-   term is the same inlined fast-path kernel, and each link's sum runs
+   of the n² of n independent [mst_longer_pressure] calls.  Each term
+   is [additive p ls i j] with [Linkset.dist]'s fast path inlined (the
+   same squared forms, min tree and guard, so the same bits; degenerate
+   cases go back to [Linkset.dist] itself), and each link's sum runs
    over the prefix in rank order — the qcheck oracle re-derives the
    identical float sum from the record API in the same order. *)
 let mst_longer_pressure_all (p : Params.t) ls =
@@ -152,52 +112,11 @@ let mst_longer_pressure_all (p : Params.t) ls =
   done;
   out
 
-let mst_longer_pressure ?index ?tol (p : Params.t) ls i =
+let mst_longer_pressure (p : Params.t) ls i =
   let li = Linkset.length ls i in
-  match index with
-  | None ->
-      let total = ref 0.0 in
-      for j = 0 to Linkset.size ls - 1 do
-        if j <> i && Linkset.length ls j >= li then
-          total := !total +. additive p ls i j
-      done;
-      !total
-  | Some idx ->
-      (* Only classes at or above link [i]'s touch not-shorter links,
-         so shorter classes are skipped wholesale.  With [tol] set, a
-         class is range-queried out to the distance where any of its
-         members' terms drops below tol/n — a member j has length at
-         most the class maximum, so beyond class_max·(n/tol)^(1/α) its
-         term (lj/d)^α is under that floor; at most n terms are
-         dropped in total, so the result sits within [tol] of the
-         exact sum.  A query of radius class_max·scale sweeps on the
-         order of scale² cells (the class grid's cells are a small
-         multiple of the class maximum): when (2·scale+1)² exceeds the
-         class population the class is summed exactly instead — never
-         slower and never less accurate than the truncated query. *)
-      let scale =
-        match tol with
-        | None -> infinity
-        | Some tol when tol > 0.0 && Float.is_finite tol ->
-            (float_of_int (Linkset.size ls) /. tol) ** (1.0 /. p.Params.alpha)
-        | Some _ ->
-            invalid_arg "Affectance.mst_longer_pressure: tol must be positive"
-      in
-      let total = ref 0.0 in
-      let accumulate j =
-        if j <> i && Linkset.length ls j >= li then
-          total := !total +. additive p ls i j
-      in
-      for c = Link_index.class_of_link idx i to Link_index.class_count idx - 1 do
-        let members = Link_index.class_members idx c in
-        let selective =
-          Float.is_finite scale
-          && ((2.0 *. Float.ceil scale) +. 1.0) ** 2.0
-             < float_of_int (Array.length members)
-        in
-        if selective then
-          let radius = Link_index.class_max_length idx c *. scale in
-          Link_index.iter_candidates idx ~cls:c i ~radius accumulate
-        else Array.iter accumulate members
-      done;
-      !total
+  let total = ref 0.0 in
+  for j = 0 to Linkset.size ls - 1 do
+    if j <> i && Linkset.length ls j >= li then
+      total := !total +. additive p ls i j
+  done;
+  !total

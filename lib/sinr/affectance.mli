@@ -37,38 +37,18 @@ val relative_total :
   Params.t -> Linkset.t -> power:float array -> int list -> int -> float
 (** Sum of {!relative} over a set (the receiving link excluded). *)
 
-val mst_longer_pressure_flat : Params.t -> Linkset.t -> int -> float
-(** Flat struct-of-arrays evaluation of the dense arm of
-    {!mst_longer_pressure} (no index, no truncation): the same terms
-    accumulated in the same order through {!Params.alpha_pow} and
-    {!Linkset.dist}, hence bit-identical to the record-based oracle —
-    the property the flat-vs-record qcheck suite pins down — while
-    running allocation-free. *)
-
 val mst_longer_pressure_all : Params.t -> Linkset.t -> float array
-(** Exact Lemma-1 pressure of every link at once, indexed by link id.
+(** Exact Lemma-1 pressure of every link at once, indexed by link id:
+    the one production evaluator (see [Refinement.longer_pressure]).
     Visits links in {!Linkset.by_decreasing_length} order so each
     link's longer-set is a prefix of the order (ties grouped): n²/2
     pair kernels total instead of the n² of n independent
-    {!mst_longer_pressure_flat} calls.  The per-pair term is the same
-    flat kernel; each sum runs over the prefix in rank order, which is
+    {!mst_longer_pressure} calls.  Each term is {!additive}'s value
+    bit for bit; each sum runs over the prefix in rank order, which is
     the float summation order the batch qcheck oracle reproduces. *)
 
-val mst_longer_pressure :
-  ?index:Link_index.t -> ?tol:float -> Params.t -> Linkset.t -> int -> float
+val mst_longer_pressure : Params.t -> Linkset.t -> int -> float
 (** [I(i, T⁺_i)]: the pressure of link [i] on all strictly longer (or
     equal-length, other) links — the quantity Lemma 1 bounds by O(1)
-    on MSTs.  Measured, not assumed; experiment T2 reports it.
-
-    With [index] (a {!Link_index} over the same linkset), shorter
-    length classes are skipped instead of scanned, and — when [tol]
-    is also given — a class may be range-queried only out to the
-    distance where every one of its members' terms falls below
-    [tol/n] (terms decay as [(l_j/d)^α] with [l_j] bounded by the
-    class maximum), guaranteeing the returned value is within [tol]
-    of the exact sum.  Classes where the query radius would sweep
-    more grid cells than the class has members are summed exactly
-    instead, so the truncated path is never slower than plain class
-    iteration.  Without [tol] the indexed path is exact.  [tol]
-    without [index] is ignored.  Raises [Invalid_argument] on
-    non-positive [tol]. *)
+    on MSTs.  The dense record-based oracle, summed in ascending link
+    id: tests check {!mst_longer_pressure_all} against it. *)

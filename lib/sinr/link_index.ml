@@ -151,9 +151,3 @@ let candidates t s ~cls i ~radius =
   !k
 
 let candidate s k = s.hits.buf.(k)
-
-let iter_candidates t ~cls i ~radius f =
-  let s = scratch () in
-  for k = 0 to candidates t s ~cls i ~radius - 1 do
-    f (candidate s k)
-  done

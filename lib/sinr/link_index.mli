@@ -59,9 +59,3 @@ val candidates : t -> scratch -> cls:int -> int -> radius:float -> int
 
 val candidate : scratch -> int -> int
 (** [candidate s k] is the [k]-th link found by the last query on [s]. *)
-
-val iter_candidates :
-  t -> cls:int -> int -> radius:float -> (int -> unit) -> unit
-(** [iter_candidates t ~cls i ~radius f] calls [f] on each link
-    {!candidates} finds, in ascending id order, through a buffer of
-    its own: safe to call from several domains at once. *)

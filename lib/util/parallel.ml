@@ -97,11 +97,6 @@ let init ?domains ?threshold n f =
 let map_array ?domains ?threshold f arr =
   init ?domains ?threshold (Array.length arr) (fun i -> f arr.(i))
 
-let fold_float_max ?domains ?threshold f n init_value =
-  if n = 0 then init_value
-  else
-    Array.fold_left Float.max init_value (init ?domains ?threshold n f)
-
 (* Persistent pool: long-lived worker domains pulling thunks off one
    bounded queue.  Unlike the fork-join entry points above this *is*
    global mutable state, so it is explicitly created and shut down by

@@ -44,11 +44,6 @@ val init_with :
 val map_array : ?domains:int -> ?threshold:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]. *)
 
-val fold_float_max :
-  ?domains:int -> ?threshold:int -> (int -> float) -> int -> float -> float
-(** [fold_float_max f n init] is [max(init, max_i f i)] over
-    [i = 0 .. n-1], computed with a parallel fan-out. *)
-
 (** Persistent worker pool: long-lived domains pulling jobs off one
     bounded queue.
 

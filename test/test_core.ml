@@ -3,6 +3,7 @@ module Link = Wa_sinr.Link
 module Linkset = Wa_sinr.Linkset
 module Power = Wa_sinr.Power
 module Feasibility = Wa_sinr.Feasibility
+module Affectance = Wa_sinr.Affectance
 module Conflict = Wa_core.Conflict
 module Refinement = Wa_core.Refinement
 module Greedy_schedule = Wa_core.Greedy_schedule
@@ -169,10 +170,18 @@ let test_refinement_lemma1_pressure () =
     (fun seed ->
       let ps = random_square (100 + seed) 100 in
       let agg = Agg_tree.mst ps in
-      let worst = Refinement.max_longer_pressure p agg.Agg_tree.links in
+      let ls = agg.Agg_tree.links in
+      let worst = Refinement.longer_pressure p ls in
       Alcotest.(check bool)
         (Printf.sprintf "pressure %.2f bounded" worst)
-        true (worst <= 10.0))
+        true (worst <= 10.0);
+      (* The batch kernel sums in length-rank order, the record oracle
+         in id order: equal up to summation rounding. *)
+      let oracle = ref 0.0 in
+      for i = 0 to Linkset.size ls - 1 do
+        oracle := Float.max !oracle (Affectance.mst_longer_pressure p ls i)
+      done;
+      Alcotest.(check (float 1e-12)) "matches the record oracle" !oracle worst)
     [ 1; 2; 3 ]
 
 let test_refinement_kappa_validation () =

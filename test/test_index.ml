@@ -8,9 +8,7 @@ module Params = Wa_sinr.Params
 module Link = Wa_sinr.Link
 module Linkset = Wa_sinr.Linkset
 module Link_index = Wa_sinr.Link_index
-module Affectance = Wa_sinr.Affectance
 module Conflict = Wa_core.Conflict
-module Refinement = Wa_core.Refinement
 module Schedule = Wa_core.Schedule
 module Agg_tree = Wa_core.Agg_tree
 module Pipeline = Wa_core.Pipeline
@@ -72,12 +70,12 @@ let test_link_index_candidates_exact () =
   let ls = uniform_ls 7 80 in
   let idx = Link_index.build ls in
   let n = Linkset.size ls in
+  let s = Link_index.scratch () in
   for i = 0 to n - 1 do
     for c = 0 to Link_index.class_count idx - 1 do
       let radius = 120.0 in
-      let got = ref [] in
-      Link_index.iter_candidates idx ~cls:c i ~radius (fun j -> got := j :: !got);
-      let got = List.rev !got in
+      let count = Link_index.candidates idx s ~cls:c i ~radius in
+      let got = List.init count (Link_index.candidate s) in
       let want =
         Array.to_list (Link_index.class_members idx c)
         |> List.filter (fun j -> Linkset.dist ls i j <= radius)
@@ -205,22 +203,6 @@ let test_branch_and_bound_pruning () =
         thresholds)
     [ 1; 2; 3; 4; 5 ]
 
-let test_indexed_pressure_matches_dense () =
-  let ls = uniform_ls 11 120 in
-  let idx = Link_index.build ls in
-  for i = 0 to Linkset.size ls - 1 do
-    let dense = Affectance.mst_longer_pressure p ls i in
-    let exact = Affectance.mst_longer_pressure ~index:idx p ls i in
-    let truncated = Affectance.mst_longer_pressure ~index:idx ~tol:1e-6 p ls i in
-    Alcotest.(check bool) "indexed exact pressure matches dense" true
-      (Float.abs (dense -. exact) <= 1e-9 *. Float.max 1.0 dense);
-    Alcotest.(check bool) "truncated pressure within tol" true
-      (Float.abs (dense -. truncated) <= 1e-6 +. 1e-9)
-  done;
-  let d = Refinement.max_longer_pressure p ls in
-  let x = Refinement.max_longer_pressure ~index:idx ~tol:1e-6 p ls in
-  Alcotest.(check bool) "max pressure within tol" true (Float.abs (d -. x) <= 1e-5)
-
 let test_pipeline_engines_agree () =
   let ps = Random_deploy.uniform_square (Rng.create 23) ~n:60 ~side:800.0 in
   List.iter
@@ -339,11 +321,6 @@ let () =
         [
           Alcotest.test_case "pruned branch-and-bound exact" `Quick
             test_branch_and_bound_pruning;
-        ] );
-      ( "pressure",
-        [
-          Alcotest.test_case "indexed mst_longer_pressure" `Quick
-            test_indexed_pressure_matches_dense;
         ] );
       ( "pipeline",
         [

@@ -15,6 +15,7 @@ module Parallel = Wa_util.Parallel
 module Pipeline = Wa_core.Pipeline
 module Conflict = Wa_core.Conflict
 module Agg_tree = Wa_core.Agg_tree
+module Refinement = Wa_core.Refinement
 module Rng = Wa_util.Rng
 module Random_deploy = Wa_instances.Random_deploy
 
@@ -444,9 +445,19 @@ let test_export_roundtrip () =
 
 (* Pipeline instrumentation --------------------------------------------- *)
 
+(* The recorded plan.* spans are exactly the stages of a global-power
+   [Pipeline.plan]. *)
+let check_plan_stages r =
+  Alcotest.(check (list string)) "exactly the plan stages"
+    [
+      "plan.color"; "plan.conflict"; "plan.diversity"; "plan.index"; "plan.mst";
+      "plan.validate";
+    ]
+    (List.filter (String.starts_with ~prefix:"plan.") (Report.span_names r))
+
 let test_pipeline_spans () =
   let ps = deployment 150 3 in
-  let plan = Pipeline.plan ~params:p ~pressure:`Exact `Global ps in
+  let plan = Pipeline.plan ~params:p `Global ps in
   let r = Report.capture () in
   List.iter
     (fun name ->
@@ -454,7 +465,7 @@ let test_pipeline_spans () =
         (Report.has_span r name))
     [
       "pipeline.plan"; "plan.mst"; "plan.index"; "plan.conflict"; "plan.color";
-      "plan.validate"; "plan.affectance"; "schedule.repair";
+      "plan.validate"; "schedule.repair";
     ];
   Alcotest.(check (option (float 0.0))) "slots_raw gauge matches plan"
     (Some (float_of_int plan.Pipeline.raw_colors))
@@ -462,24 +473,34 @@ let test_pipeline_spans () =
   Alcotest.(check (option int)) "repair_added counter matches plan"
     (Some plan.Pipeline.repair_added)
     (Report.counter_value r "schedule.repair_added");
-  Alcotest.(check bool) "affectance.max_pressure recorded" true
-    (match Report.gauge_value r "affectance.max_pressure" with
-    | Some v -> v > 0.0
-    | None -> false);
   (* stage spans nest under the pipeline span *)
   let plan_span = List.hd (Report.find_spans r "pipeline.plan") in
   let mst_span = List.hd (Report.find_spans r "plan.mst") in
   Alcotest.(check bool) "mst nested in pipeline" true
     (mst_span.Trace.depth > plan_span.Trace.depth);
-  (* Without a [~pressure] mode the stage does not run, sink on or off. *)
-  Obs.reset ();
-  ignore (Pipeline.plan ~params:p `Global ps);
-  let r = Report.capture () in
-  Alcotest.(check bool) "no plan.affectance without ~pressure" false
-    (Report.has_span r "plan.affectance");
-  Alcotest.(check (option (float 0.0))) "no pressure gauge without ~pressure"
-    None
+  (* Lemma-1 pressure is not a plan stage: the plan.* spans are exactly
+     the pipeline's own, and no pressure span or gauge is recorded. *)
+  check_plan_stages r;
+  Alcotest.(check bool) "no affectance.pressure" false
+    (Report.has_span r "affectance.pressure");
+  Alcotest.(check (option (float 0.0))) "no pressure gauge" None
     (Report.gauge_value r "affectance.max_pressure")
+
+(* [Refinement.longer_pressure] is the one pressure entry point: it
+   emits its own span and gauge, and its value is the maximum of the
+   batch kernel. *)
+let test_longer_pressure_telemetry () =
+  let ls = (Agg_tree.mst (deployment 150 3)).Agg_tree.links in
+  let v = Refinement.longer_pressure p ls in
+  let r = Report.capture () in
+  Alcotest.(check bool) "span affectance.pressure present" true
+    (Report.has_span r "affectance.pressure");
+  Alcotest.(check (option (float 0.0))) "gauge holds the value" (Some v)
+    (Report.gauge_value r "affectance.max_pressure");
+  let per_link = Wa_sinr.Affectance.mst_longer_pressure_all p ls in
+  Alcotest.(check (float 0.0)) "max of the batch kernel"
+    (Array.fold_left Float.max 0.0 per_link) v;
+  Alcotest.(check bool) "positive" true (v > 0.0)
 
 (* Oracle: turning observation on changes nothing that is computed.
    The same spec planned with the sink off and then on yields equal
@@ -510,19 +531,7 @@ let test_observation_changes_nothing () =
     (Float.equal off.Pipeline.point_diversity on.Pipeline.point_diversity);
   Alcotest.(check bool) "same link diversity" true
     (Float.equal off.Pipeline.link_diversity on.Pipeline.link_diversity);
-  Alcotest.(check bool) "no pressure report either way" true
-    (Option.is_none off.Pipeline.pressure && Option.is_none on.Pipeline.pressure);
-  let plan_stages =
-    List.filter
-      (fun n -> String.starts_with ~prefix:"plan." n)
-      (Report.span_names r)
-  in
-  Alcotest.(check (list string)) "exactly the plan stages"
-    [
-      "plan.color"; "plan.conflict"; "plan.diversity"; "plan.index"; "plan.mst";
-      "plan.validate";
-    ]
-    plan_stages
+  check_plan_stages r
 
 let test_simulator_metrics () =
   let ps = deployment 60 5 in
@@ -614,6 +623,8 @@ let () =
         [
           Alcotest.test_case "stage spans and plan metrics" `Quick
             (with_fresh test_pipeline_spans);
+          Alcotest.test_case "longer_pressure span and gauge" `Quick
+            (with_fresh test_longer_pressure_telemetry);
           Alcotest.test_case "observation changes nothing" `Quick
             (with_fresh test_observation_changes_nothing);
           Alcotest.test_case "simulator metrics" `Quick

@@ -408,8 +408,8 @@ let prop_delaunay_mst_degenerate_weight =
 
 (* Pressure-oracle instances: uniform square, tight Gaussian clusters,
    and collinear-degenerate deployments, with MST links.  The last two
-   stress the far-field quadtree (deep recursion near clusters, zero
-   extent in one dimension on a line). *)
+   put links very close together and give the deployment zero extent
+   in one dimension. *)
 let gen_pressure_instance =
   QCheck.make
     ~print:(fun (seed, n, kind) ->
@@ -432,19 +432,6 @@ let pressure_linkset_of (seed, n, kind) =
     | _ -> Random_deploy.uniform_line rng ~n ~length:500.0
   in
   (Agg_tree.mst ps).Agg_tree.links
-
-let prop_pressure_flat_matches_record =
-  QCheck.Test.make ~count:60
-    ~name:"flat pressure kernel equals the record oracle bit-for-bit"
-    gen_pressure_instance (fun input ->
-      let ls = pressure_linkset_of input in
-      let ok = ref true in
-      for i = 0 to Linkset.size ls - 1 do
-        let flat = Affectance.mst_longer_pressure_flat p ls i in
-        let record = Affectance.mst_longer_pressure p ls i in
-        if not (Float.equal flat record) then ok := false
-      done;
-      !ok)
 
 let prop_pressure_batch_matches_record =
   QCheck.Test.make ~count:60
@@ -471,34 +458,6 @@ let prop_pressure_batch_matches_record =
         if not (Float.equal batch.(i) !total) then ok := false
       done;
       !ok)
-
-let prop_far_field_certified =
-  QCheck.Test.make ~count:40
-    ~name:"far-field pressure lands within its certified error bound"
-    gen_pressure_instance (fun input ->
-      let ls = pressure_linkset_of input in
-      let tol = 1e-3 in
-      let ff = Wa_sinr.Far_field.build ls in
-      let ok = ref true in
-      for i = 0 to Linkset.size ls - 1 do
-        let v, err = Wa_sinr.Far_field.longer_pressure ff p ls ~tol i in
-        let exact = Affectance.mst_longer_pressure_flat p ls i in
-        if not (err <= tol +. 1e-12 && Float.abs (v -. exact) <= err +. 1e-9)
-        then ok := false
-      done;
-      !ok)
-
-let prop_refinement_approx_brackets_exact =
-  QCheck.Test.make ~count:30
-    ~name:"approx pressure report brackets the exact maximum"
-    gen_pressure_instance (fun input ->
-      let ls = pressure_linkset_of input in
-      let exact = Refinement.longer_pressure ~mode:`Exact p ls in
-      let approx = Refinement.longer_pressure ~mode:(`Approx 1e-3) p ls in
-      approx.Refinement.error_bound <= 1e-3 +. 1e-12
-      && Float.abs
-           (approx.Refinement.max_pressure -. exact.Refinement.max_pressure)
-         <= approx.Refinement.error_bound +. 1e-9)
 
 (* Record-based reference of the slot solver: the gain matrix, the
    ground-truth SINR and every step of [Power_solver.solve] written over
@@ -990,10 +949,7 @@ let () =
             prop_simulator_latency_monotone_frames;
             prop_schedule_partition;
             prop_affectance_feasibility_consistent;
-            prop_pressure_flat_matches_record;
             prop_pressure_batch_matches_record;
-            prop_far_field_certified;
-            prop_refinement_approx_brackets_exact;
             prop_tdma_always_valid;
             prop_gain_and_sinr_match_record;
             prop_solve_matches_record;

@@ -11,7 +11,7 @@
    passes:
 
    - [domain-capture]: for every closure reaching
-     [Wa_util.Parallel.{iter,init,map_array,fold_float_max}], compute
+     [Wa_util.Parallel.{iter,init,map_array}], compute
      the capture set from the Typedtree and reject writes to captured
      refs ([:=], [incr], [decr]), mutable record fields ([<-]),
      arrays ([Array.set], [a.(i) <- v]) and mutating container calls
@@ -863,7 +863,7 @@ let rec peel_params e =
 
 (* Pass 1 + 5: domain-capture and exn-escape -------------------------- *)
 
-let parallel_entries = [ "iter"; "init"; "map_array"; "fold_float_max"; "map" ]
+let parallel_entries = [ "iter"; "init"; "map_array"; "map" ]
 
 let is_parallel_entry e =
   match fn_last2 e with

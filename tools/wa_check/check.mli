@@ -9,7 +9,7 @@
     the summary table in hand.  Passes —
 
     - [domain-capture] — a closure reaching
-      [Wa_util.Parallel.{iter,init,map_array,fold_float_max}] writes a
+      [Wa_util.Parallel.{iter,init,map_array}] writes a
       captured ref / mutable field / array / container, directly or
       through any call chain whose summary records a write to
       module-level or parameter-reachable non-[Atomic] state
