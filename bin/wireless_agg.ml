@@ -257,6 +257,10 @@ let run_plan seed n side deploy power alpha beta json dot points_in audit tel =
         (Wa_core.Refinement.longer_pressure params
            plan.Pipeline.agg.Agg_tree.links);
       Format.printf "%a@." Wa_analysis.Audit.pp_report report;
+      (* Wall time goes to stderr, so stdout stays reproducible. *)
+      if tel.verbosity > 0 then
+        Printf.eprintf "audit time: %.2f ms\n%!"
+          report.Wa_analysis.Audit.elapsed_ms;
       if Wa_analysis.Audit.ok report then Ok ()
       else Error (`Msg "audit failed: plan violates its invariants")
 
@@ -492,7 +496,11 @@ let peer_arg =
 
 let serve_cmd =
   let workers =
-    let doc = "Worker domains (default: available domains - 1)." in
+    let doc =
+      "Pool workers (default: available domains - 1, at least 1).  A \
+       worker is a domain while the process has a CPU for one, and a \
+       thread of the main domain beyond that."
+    in
     Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"W" ~doc)
   in
   let queue_capacity =
@@ -598,12 +606,15 @@ let run_fleet host port shards base_port queue_capacity cache_entries cache_mb
             base_port
             (base_port + shards - 1)
             host (R.port router);
-          (* The router owns the main domain; a sidecar domain reaps
-             and restarts crashed members until the router exits. *)
+          (* The router owns the main domain; a sidecar thread reaps
+             and restarts crashed members until the router exits.  It
+             sleeps most of the time, so it is a systhread of the main
+             domain rather than a domain of its own. *)
           let sup_mu = Mutex.create () in
           let sup_stop = ref false in
           let sup =
-            Domain.spawn (fun () ->
+            Thread.create
+              (fun () ->
                 let rec watch () =
                   Unix.sleepf 0.5;
                   if not (Mutex.protect sup_mu (fun () -> !sup_stop))
@@ -617,10 +628,11 @@ let run_fleet host port shards base_port queue_capacity cache_entries cache_mb
                   end
                 in
                 watch ())
+              ()
           in
           R.run router;
           Mutex.protect sup_mu (fun () -> sup_stop := true);
-          Domain.join sup;
+          Thread.join sup;
           Printf.printf "%s\n" (R.summary router);
           Ok ()
     end

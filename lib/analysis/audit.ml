@@ -317,8 +317,7 @@ let pp_violation fmt x =
   Format.fprintf fmt "[%s] %s: %s" x.check x.subject x.detail
 
 let pp_report fmt r =
-  Format.fprintf fmt "audit: %d check(s), %d violation(s), %.2f ms"
+  Format.fprintf fmt "audit: %d check(s), %d violation(s)"
     (List.length r.checks)
-    (List.length r.violations)
-    r.elapsed_ms;
+    (List.length r.violations);
   List.iter (fun x -> Format.fprintf fmt "@\n  %a" pp_violation x) r.violations

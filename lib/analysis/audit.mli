@@ -78,3 +78,6 @@ val report_consistency_check : (unit -> Wa_obs.Report.t) -> check
 val report_to_json : report -> Wa_util.Json.t
 
 val pp_report : Format.formatter -> report -> unit
+(** Check count, violation count and one line per violation.  The
+    wall time is left out, so two audits of the same plan print the
+    same text. *)

@@ -12,7 +12,7 @@ module Metrics = Wa_obs.Metrics
    Concurrency discipline (DESIGN.md §16): everything here is
    event-loop-confined except (a) [stop]/[draining] under [state_mu],
    and (b) the dialer mailbox under [dial_mu] — outbound connects
-   block (TCP handshake + greeting), so a dedicated dialer domain
+   block (TCP handshake + greeting), so a dedicated dialer thread
    performs them and the loop only ever picks up finished results.
    The loop roots are annotated [@wa.event_loop]; wa_check certifies
    they reach no blocking primitive. *)
@@ -153,7 +153,7 @@ type t = {
   state_mu : Mutex.t;
   mutable stop_requested : bool; [@wa.guarded_by "Router.t.state_mu"]
   mutable draining : bool; [@wa.guarded_by "Router.t.state_mu"]
-  (* Dialer mailbox: the loop posts dial orders, the dialer domain
+  (* Dialer mailbox: the loop posts dial orders, the dialer thread
      posts finished endpoints back. *)
   dial_mu : Mutex.t;
   dial_cond : Condition.t;
@@ -161,7 +161,7 @@ type t = {
   mutable dial_done : (backend * (E.endpoint, string) result) list;
       [@wa.guarded_by "Router.t.dial_mu"]
   mutable dial_stop : bool; [@wa.guarded_by "Router.t.dial_mu"]
-  mutable dialer : unit Domain.t option;
+  mutable dialer : Thread.t option;
   (* Everything below is event-loop-confined. *)
   mutable conns : conn list;
   mutable shutdown_reply : (conn * int) option;
@@ -191,7 +191,7 @@ let hint_bound = 4096
 let max_dial_backoff = 8.0
 let initial_dial_backoff = 0.25
 
-(* The dialer domain: pop an order, perform the blocking connect +
+(* The dialer thread: pop an order, perform the blocking connect +
    greeting exchange, post the result back.  The whole reason this
    runs off the loop. *)
 let dialer_loop t =
@@ -291,7 +291,7 @@ let create (config : config) =
       c_peek_hits = Metrics.counter "fleet.peek_hits";
     }
   in
-  t.dialer <- Some (Domain.spawn (fun () -> dialer_loop t));
+  t.dialer <- Some (Thread.create (fun () -> dialer_loop t) ());
   t
 
 let port t = E.bound_port ~fallback:t.config.port t.listen_fd
@@ -953,7 +953,7 @@ let send_probe t b now =
         end
       end
 
-(* Pick up finished dials from the dialer domain. *)
+(* Pick up finished dials from the dialer thread. *)
 let collect_dials t now =
   let finished =
     Mutex.protect t.dial_mu (fun () ->
@@ -1020,7 +1020,7 @@ let scan_timeouts t now =
    over transitive whole-program summaries, that no blocking primitive
    is reachable from them — the router answers and forwards inline, so
    a blocked loop would stall the whole fleet's front door.  Outbound
-   connects (the one blocking step) live in the dialer domain. *)
+   connects (the one blocking step) live in the dialer thread. *)
 
 let[@wa.event_loop] handle_client_readable t conn =
   E.handle_readable ~max_line:t.config.max_line
@@ -1113,8 +1113,8 @@ let stop_dialer t =
   Condition.broadcast t.dial_cond;
   Mutex.unlock t.dial_mu;
   match t.dialer with
-  | Some d ->
-      Domain.join d;
+  | Some th ->
+      Thread.join th;
       t.dialer <- None
   | None -> ()
 

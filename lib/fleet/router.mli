@@ -47,9 +47,10 @@ val default_config : backends:backend_addr list -> config
 type t
 
 val create : config -> t
-(** Bind the listen socket and start the dialer domain.  Backends are
-    dialed (and health-probed) from the run loop; health is earned by
-    the first probe reply.  @raise Invalid_argument with no backends. *)
+(** Bind the listen socket and start the dialer thread (a systhread
+    of the calling domain).  Backends are dialed (and health-probed)
+    from the run loop; health is earned by the first probe reply.
+    @raise Invalid_argument with no backends. *)
 
 val port : t -> int
 (** The actually-bound port (differs from [config.port] when 0). *)

@@ -10,9 +10,9 @@ module P = Protocol
 type peer = {
   p_host : string;
   p_port : int;
-  mutable p_conn : Client.t option;  (* sender-domain-confined *)
-  mutable p_next_try : float;  (* sender-domain-confined *)
-  mutable p_backoff : float;  (* sender-domain-confined *)
+  mutable p_conn : Client.t option;  (* sender-thread-confined *)
+  mutable p_next_try : float;  (* sender-thread-confined *)
+  mutable p_backoff : float;  (* sender-thread-confined *)
 }
 
 type batch = { b_invalidate : bool; b_keys : string list }
@@ -24,7 +24,7 @@ type t = {
   cond : Condition.t;
   queue : batch Queue.t; [@wa.guarded_by "Gossip.t.mu"]
   mutable stopped : bool; [@wa.guarded_by "Gossip.t.mu"]
-  mutable dom : unit Domain.t option;
+  mutable sender : Thread.t option;
 }
 
 let max_queue = 256
@@ -116,11 +116,14 @@ let create ~origin ~peers =
       cond = Condition.create ();
       queue = Queue.create ();
       stopped = false;
-      dom = None;
+      sender = None;
     }
   in
+  (* The sender spends its time blocked on the queue or the network,
+     so it is a systhread: a domain of its own would gain nothing and
+     would join every stop-the-world collection. *)
   if not (List.is_empty peers) then
-    t.dom <- Some (Domain.spawn (fun () -> sender_loop t));
+    t.sender <- Some (Thread.create (fun () -> sender_loop t) ());
   t
 
 (* Never blocks: with no peers it is a no-op, with a full queue the
@@ -140,8 +143,8 @@ let stop t =
   t.stopped <- true;
   Condition.signal t.cond;
   Mutex.unlock t.mu;
-  match t.dom with
-  | Some d ->
-      Domain.join d;
-      t.dom <- None
+  match t.sender with
+  | Some th ->
+      Thread.join th;
+      t.sender <- None
   | None -> ()

@@ -1,10 +1,15 @@
 (** The plan server: a TCP endpoint speaking the JSON-lines
     {!Protocol} and fanning requests out across a persistent
-    {!Wa_util.Parallel.Pool} of worker domains.
+    {!Wa_util.Parallel.Pool} of workers.  Workers are domains while
+    the process stays within one domain per CPU and systhreads of the
+    creating domain beyond that, so a server on one CPU plans on a
+    thread beside its event loop (no idle domain stalls its
+    stop-the-world collections); the gossip sender is a thread too.
 
-    Life cycle: {!create} binds and listens (and spawns the pool);
+    Life cycle: {!create} binds and listens (and starts the pool);
     {!run} is the blocking accept/read/dispatch loop — call it on the
-    current domain or inside [Domain.spawn] for in-process use.  The
+    domain that created the server, or create and run it inside
+    [Domain.spawn] for in-process use.  The
     loop exits through the graceful path in exactly two ways: a
     [shutdown] request from a client, or {!stop} from another domain
     (the CLI wires SIGINT/SIGTERM to it).  Either way the server
@@ -41,7 +46,9 @@ type config = {
   name : string;
       (** Shard name when serving inside a fleet: the gossip origin
           echoed in [cache_advertise] lines.  [""] outside a fleet. *)
-  workers : int option;  (** [None]: pool default (domains - 1). *)
+  workers : int option;
+      (** [None]: pool default (CPUs - 1, at least 1).  Workers beyond
+          the domain budget are threads ({!Wa_util.Parallel.Pool.create}). *)
   queue_capacity : int;
   cache_entries : int;
   cache_bytes : int;

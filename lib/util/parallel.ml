@@ -1,11 +1,34 @@
-(* Chunked fork-join over OCaml 5 domains.
+(* Chunked fork-join over OCaml 5 domains, and a persistent pool.
 
-   A fixed pool is deliberately avoided: every entry point spawns
-   short-lived domains for one batch and joins them before returning,
-   so there is no global state, no shutdown hook, and nested calls
-   merely degrade to sequential execution instead of deadlocking. *)
+   No process should run more domains than it has CPUs.  Every minor
+   collection stops all domains, so a domain that the OS has not
+   scheduled (because it shares a CPU with the one computing) stalls
+   the whole process until it runs.  Both halves of this module
+   therefore draw the domains they spawn from one process-wide budget
+   of [available_domains ()], the main domain included: a fan-out
+   spawns only the domains the budget still holds (none at all runs
+   the plain loop), and a pool worker that finds the budget spent is a
+   systhread of the creating domain instead.
+
+   The fork-join entry points keep no other state: each spawns
+   short-lived domains for one batch and joins them before returning.
+   A nested fan-out draws from the same budget, so it gets only the
+   slots the outer one left (sequential once they are spent) and
+   never multiplies domains. *)
 
 let available_domains () = Domain.recommended_domain_count ()
+
+(* Domains running on behalf of this module, plus the main domain. *)
+let live_domains = Atomic.make 1
+
+(* Take up to [k] slots of the domain budget; returns how many. *)
+let rec claim k =
+  let live = Atomic.get live_domains in
+  let got = max 0 (min k (available_domains () - live)) in
+  if got = 0 || Atomic.compare_and_set live_domains live (live + got) then got
+  else claim k
+
+let release k = if k > 0 then ignore (Atomic.fetch_and_add live_domains (-k))
 
 (* Below this many items the spawn/join overhead dominates any
    conceivable per-item win; callers with expensive items can lower
@@ -43,13 +66,17 @@ let chunk_bounds n count =
   |> List.filter (fun (lo, hi) -> lo < hi)
 
 (* Runs [body lo hi] over contiguous chunks covering [0, n), one chunk
-   per worker domain, the first on the calling domain; a single worker
-   runs [body 0 n] directly, bypassing the chunk hook. *)
+   per worker domain, the first on the calling domain.  The workers
+   beyond the caller are capped by the domain budget; with none left
+   (or a single worker asked for) [body 0 n] runs directly, bypassing
+   the chunk hook. *)
 let chunked ?domains ~threshold n body =
   let nd = worker_count ?domains n threshold in
-  if nd <= 1 then body 0 n
-  else begin
-    match chunk_bounds n nd with
+  let extra = if nd <= 1 then 0 else claim (nd - 1) in
+  if extra = 0 then body 0 n
+  else
+    Fun.protect ~finally:(fun () -> release extra) @@ fun () ->
+    match chunk_bounds n (extra + 1) with
     | [] -> ()
     | (lo0, hi0) :: rest ->
         let chunk lo hi () = run_chunk ~items:(hi - lo) (fun () -> body lo hi) in
@@ -60,7 +87,6 @@ let chunked ?domains ~threshold n body =
         in
         chunk lo0 hi0 ();
         List.iter Domain.join spawned
-  end
 
 let iter ?domains ?(threshold = default_threshold) n f =
   if n < 0 then invalid_arg "Parallel.iter: negative count";
@@ -97,11 +123,13 @@ let init ?domains ?threshold n f =
 let map_array ?domains ?threshold f arr =
   init ?domains ?threshold (Array.length arr) (fun i -> f arr.(i))
 
-(* Persistent pool: long-lived worker domains pulling thunks off one
-   bounded queue.  Unlike the fork-join entry points above this *is*
-   global mutable state, so it is explicitly created and shut down by
-   its owner (the serving layer).  All state lives under one mutex;
-   jobs run outside it. *)
+(* Persistent pool: long-lived workers pulling thunks off one bounded
+   queue.  Unlike the fork-join entry points above this *is* global
+   mutable state, so it is explicitly created and shut down by its
+   owner (the serving layer).  All state lives under one mutex; jobs
+   run outside it.  Every worker runs the same [worker] loop; only how
+   it is started and joined depends on whether the domain budget still
+   had a slot for it. *)
 module Pool = struct
   type t = {
     mutex : Mutex.t;
@@ -112,10 +140,12 @@ module Pool = struct
     mutable running : int; [@wa.guarded_by "Pool.t.mutex"]
         (** Jobs currently executing. *)
     mutable stopping : bool; [@wa.guarded_by "Pool.t.mutex"]
-    mutable domains : unit Domain.t list;
+    mutable handles : handle list;
         (** Owner-confined: touched only by [create]/[shutdown], which
             the owning thread calls at most once each. *)
   }
+
+  and handle = On_domain of unit Domain.t | On_thread of Thread.t
 
   let worker pool () =
     let rec loop () =
@@ -133,10 +163,30 @@ module Pool = struct
         pool.running <- pool.running - 1;
         Condition.broadcast pool.settled;
         Mutex.unlock pool.mutex;
+        (* A thread worker shares its domain with the creator (an event
+           loop, say): hand the domain over between jobs rather than
+           run the next one first.  Without waiting threads this
+           returns at once. *)
+        Thread.yield ();
         loop ()
       end
     in
     loop ()
+
+  let start pool =
+    if claim 1 = 0 then On_thread (Thread.create (worker pool) ())
+    else
+      match Domain.spawn (worker pool) with
+      | d -> On_domain d
+      | exception e ->
+          release 1;
+          raise e
+
+  let join = function
+    | On_domain d ->
+        Domain.join d;
+        release 1
+    | On_thread th -> Thread.join th
 
   let create ?workers ~queue_capacity () =
     if queue_capacity < 1 then
@@ -157,13 +207,13 @@ module Pool = struct
         capacity = queue_capacity;
         running = 0;
         stopping = false;
-        domains = [];
+        handles = [];
       }
     in
-    pool.domains <- List.init workers (fun _ -> Domain.spawn (worker pool));
+    pool.handles <- List.init workers (fun _ -> start pool);
     pool
 
-  let workers pool = List.length pool.domains
+  let workers pool = List.length pool.handles
 
   let submit pool job =
     Mutex.lock pool.mutex;
@@ -205,6 +255,6 @@ module Pool = struct
        would miss the wakeup if they were all asleep. *)
     Condition.broadcast pool.not_empty;
     Mutex.unlock pool.mutex;
-    List.iter Domain.join pool.domains;
-    pool.domains <- []
+    List.iter join pool.handles;
+    pool.handles <- []
 end

@@ -1,12 +1,22 @@
-(** Chunked fork-join parallelism over OCaml 5 domains.
+(** Chunked fork-join parallelism over OCaml 5 domains, and a
+    persistent worker pool.
 
-    Each entry point splits the index range [0, n) into contiguous
-    chunks, runs one chunk per domain ([Domain.spawn]), and joins all
-    workers before returning — no pool, no global state.  When the
-    runtime reports a single recommended domain, or when [n] falls
-    below [threshold], execution is plain sequential, so the functions
-    are safe to call unconditionally (and from inside other parallel
-    regions, where they simply run sequentially on the worker).
+    Each fork-join entry point splits the index range [0, n) into
+    contiguous chunks, runs one chunk per domain ([Domain.spawn]), and
+    joins all workers before returning.  When the runtime reports a
+    single recommended domain, or when [n] falls below [threshold],
+    execution is plain sequential, so the functions are safe to call
+    unconditionally.
+
+    Domain budget: the fan-outs and the {!Pool} draw the domains they
+    spawn from one process-wide budget of {!available_domains}, the
+    main domain included, so this module never brings a process past
+    one domain per CPU.  A fan-out uses only the domains still free
+    (none left: sequential), so a nested fan-out gets only what the
+    outer one left; a pool worker beyond the budget is a systhread.
+    The default {!Pool} takes every slot the main domain leaves, so a
+    fan-out inside one of its jobs runs sequentially.  Domains spawned
+    elsewhere are not counted.
 
     Supplied functions must be thread-safe: in practice they should
     only read immutable (or no-longer-mutated) data and write at most
@@ -27,8 +37,9 @@ val set_chunk_hook : (items:int -> (unit -> unit) -> unit) option -> unit
 
 val iter : ?domains:int -> ?threshold:int -> int -> (int -> unit) -> unit
 (** [iter n f] runs [f i] for [i = 0 .. n-1], fanned out over domains.
-    [domains] caps the worker count (default: recommended count);
-    [threshold] (default 32) is the minimum [n] worth parallelizing. *)
+    [domains] caps the worker count (default: recommended count; the
+    domain budget may cap it further); [threshold] (default 32) is the
+    minimum [n] worth parallelizing. *)
 
 val init : ?domains:int -> ?threshold:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init].  [f 0] is evaluated first (on the calling
@@ -44,14 +55,14 @@ val init_with :
 val map_array : ?domains:int -> ?threshold:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]. *)
 
-(** Persistent worker pool: long-lived domains pulling jobs off one
+(** Persistent worker pool: long-lived workers pulling jobs off one
     bounded queue.
 
     This is the complement of the fork-join entry points above for
     request-serving workloads: jobs arrive one at a time, the queue
     bound gives callers explicit backpressure ([`Rejected] instead of
     unbounded buffering), and shutdown drains queued work before the
-    domains exit.  Jobs must not raise for control flow — escaped
+    workers exit.  Jobs must not raise for control flow — escaped
     exceptions are swallowed (the worker survives), so report errors
     through the job's own channel. *)
 module Pool : sig
@@ -59,8 +70,15 @@ module Pool : sig
 
   val create : ?workers:int -> queue_capacity:int -> unit -> t
   (** [workers] defaults to [max 1 (available_domains () - 1)],
-      leaving one domain for the caller.  Raises [Invalid_argument]
-      on a non-positive worker count or capacity. *)
+      leaving one domain for the caller.  Each worker is a domain
+      while the domain budget has a slot for it, and a systhread of
+      the calling domain otherwise: on a one-CPU host the default
+      single worker is a thread of the main domain.  An idle domain
+      still joins every stop-the-world collection, and a domain the OS
+      has not scheduled delays it, so a worker that cannot have a CPU
+      of its own computes faster as a thread.  Raises
+      [Invalid_argument] on a non-positive worker count or
+      capacity. *)
 
   val submit : t -> (unit -> unit) -> [ `Queued | `Rejected | `Stopping ]
   (** Enqueue a job: [`Rejected] when the queue is at capacity,
@@ -79,5 +97,6 @@ module Pool : sig
 
   val shutdown : t -> unit
   (** Stop accepting work, let the workers finish everything already
-      queued, and join them.  Idempotent once the domains are gone. *)
+      queued, and join them, returning their domain slots to the
+      budget.  Idempotent once the workers are gone. *)
 end

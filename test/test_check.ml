@@ -110,11 +110,12 @@ let test_cmt_error () =
 let test_tree_totals () =
   let report = Check.analyze_paths ~config [ "check_fixtures" ] in
   Alcotest.(check int)
-    "analyzed all forty fixtures (alias module skipped)" 40
+    "analyzed all forty-two fixtures (alias module skipped)" 42
     report.Check.files_scanned;
   let expected =
     [
-      "check-then-act"; "domain-capture"; "domain-capture"; "event-loop-block";
+      "check-then-act"; "domain-capture"; "domain-capture"; "domain-capture";
+      "event-loop-block";
       "exn-escape"; "exn-escape"; "float-unguarded"; "float-unguarded";
       "float-unguarded"; "float-unguarded"; "float-unguarded"; "hot-alloc";
       "lock-order"; "lock-order"; "lockset"; "nan-compare"; "unit-mix";
@@ -122,13 +123,13 @@ let test_tree_totals () =
     ]
   in
   Alcotest.(check (list string))
-    "exactly the eighteen planted violations" expected
+    "exactly the nineteen planted violations" expected
     (List.sort String.compare (rules_of report.Check.violations));
   Alcotest.(check bool)
     "guarded accesses certified in the fixtures" true
     (report.Check.guarded_accesses > 0);
   Alcotest.(check int)
-    "exactly the one good event-loop root certified" 1
+    "exactly the two good event-loop roots certified" 2
     report.Check.event_loop_roots
 
 (* The on-disk summary cache: a second run over unchanged .cmt files is
@@ -325,6 +326,11 @@ let () =
             (check_fixture "Bad_block" [ "event-loop-block" ]);
           Alcotest.test_case "deferred compute certified" `Quick
             (check_fixture "Good_block" []);
+          Alcotest.test_case "thread closure writes a captured ref" `Quick
+            (check_fixture "Bad_thread" [ "domain-capture" ]);
+          Alcotest.test_case "thread closure deferred, atomic counter"
+            `Quick
+            (check_fixture "Good_thread" []);
           Alcotest.test_case "atomic check-then-act window" `Quick
             (check_fixture "Bad_ctoa" [ "check-then-act" ]);
           Alcotest.test_case "compare_and_set spelling" `Quick

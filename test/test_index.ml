@@ -171,6 +171,38 @@ let test_parallel_init_matches_sequential () =
   Alcotest.(check bool) "iter touches every index once" true
     (Array.for_all (fun c -> c = 1) hits)
 
+(* Fan-outs draw their domains from one budget, nested ones included:
+   a [Parallel.init ~domains:2] inside each chunk of a
+   [Parallel.iter ~domains:2] returns the sequential array, and outer
+   and inner chunks together never run on more domains than there are
+   CPUs.  Without the budget the two inner fan-outs would each spawn a
+   domain of their own, four in all. *)
+let test_parallel_nested_within_budget () =
+  let n = 100 in
+  let seq = Array.init n (fun i -> i * i) in
+  let seen = Atomic.make [] in
+  let rec note d =
+    let l = Atomic.get seen in
+    if not (List.mem d l || Atomic.compare_and_set seen l (d :: l)) then note d
+  in
+  let ok = Array.make 2 false in
+  Parallel.iter ~domains:2 ~threshold:1 2 (fun k ->
+      note (Domain.self () :> int);
+      let inner =
+        Parallel.init ~domains:2 ~threshold:1 n (fun i ->
+            note (Domain.self () :> int);
+            i * i)
+      in
+      ok.(k) <- inner = seq);
+  Alcotest.(check bool) "both inner inits match sequential" true
+    (Array.for_all Fun.id ok);
+  let domains = List.length (Atomic.get seen) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domain(s) ran chunks, at most %d" domains
+       (Parallel.available_domains ()))
+    true
+    (domains <= Parallel.available_domains ())
+
 let test_branch_and_bound_pruning () =
   (* The O(1) remaining-count prune must not change exact values:
      compare against the greedy lower bound and a no-pruning oracle on
@@ -316,6 +348,8 @@ let () =
         [
           Alcotest.test_case "init/iter match sequential" `Quick
             test_parallel_init_matches_sequential;
+          Alcotest.test_case "nested calls stay within the budget" `Quick
+            test_parallel_nested_within_budget;
         ] );
       ( "independence",
         [

@@ -298,6 +298,69 @@ let test_with_collector () =
   Alcotest.(check int) "collector state clean after exception" 0
     (List.length after)
 
+(* Two systhreads of one domain record nested spans at the same time,
+   each under its own collector.  A barrier holds both inside their
+   outer span before either records a child, and every inner span
+   yields, so the threads interleave span by span.  Per-domain state
+   would mix their depths and their collectors. *)
+let test_threads_keep_own_spans () =
+  let rounds = 40 in
+  let mu = Mutex.create () and arrived = Condition.create () in
+  let inside = ref 0 in
+  let barrier () =
+    Mutex.protect mu (fun () ->
+        incr inside;
+        Condition.broadcast arrived;
+        while !inside < 2 do
+          Condition.wait arrived mu
+        done)
+  in
+  let captured = Array.make 2 [] in
+  let body k () =
+    let tag = Printf.sprintf "thread%d" k in
+    let (), spans =
+      Trace.with_collector (fun () ->
+          Trace.with_span (tag ^ ".outer") (fun () ->
+              barrier ();
+              for _ = 1 to rounds do
+                Trace.with_span (tag ^ ".mid") (fun () ->
+                    Trace.with_span (tag ^ ".inner") Thread.yield)
+              done))
+    in
+    captured.(k) <- spans
+  in
+  let threads = List.init 2 (fun k -> Thread.create (body k) ()) in
+  List.iter Thread.join threads;
+  let depth_of name =
+    if String.ends_with ~suffix:".outer" name then 0
+    else if String.ends_with ~suffix:".mid" name then 1
+    else 2
+  in
+  let all = Trace.spans () in
+  for k = 0 to 1 do
+    let tag = Printf.sprintf "thread%d" k in
+    let mine =
+      List.filter
+        (fun (s : Trace.span) -> String.starts_with ~prefix:tag s.Trace.name)
+        all
+    in
+    Alcotest.(check int) (tag ^ ": no span lost") ((2 * rounds) + 1)
+      (List.length mine);
+    List.iter
+      (fun (s : Trace.span) ->
+        Alcotest.(check int) (s.Trace.name ^ " depth") (depth_of s.Trace.name)
+          s.Trace.depth)
+      mine;
+    Alcotest.(check int) (tag ^ ": collector holds its own spans")
+      ((2 * rounds) + 1)
+      (List.length captured.(k));
+    Alcotest.(check bool) (tag ^ ": collector holds no other thread's span")
+      true
+      (List.for_all
+         (fun (s : Trace.span) -> String.starts_with ~prefix:tag s.Trace.name)
+         captured.(k))
+  done
+
 (* Prometheus exposition ------------------------------------------------ *)
 
 let test_prometheus_shape () =
@@ -609,6 +672,8 @@ let () =
             (with_fresh test_live_window_ring_bound);
           Alcotest.test_case "request span collector" `Quick
             (with_fresh test_with_collector);
+          Alcotest.test_case "systhreads keep their own spans" `Quick
+            (with_fresh test_threads_keep_own_spans);
         ] );
       ( "export",
         [

@@ -732,28 +732,125 @@ let test_pool_backpressure () =
   Alcotest.(check int) "drained" 0 (Pool.in_flight pool);
   Pool.shutdown pool
 
+(* One worker per CPU.  The main domain holds one slot of the domain
+   budget, so at least the last worker is a systhread of this domain
+   (on one CPU, all of them are).  The pool must behave as with domain
+   workers: every worker takes jobs, backpressure and drain hold,
+   shutdown runs what is queued before it returns, and the jobs never
+   see more domains than there are CPUs. *)
+let test_pool_thread_workers () =
+  let cpus = Wa_util.Parallel.available_domains () in
+  let capacity = 4 in
+  let pool = Pool.create ~workers:cpus ~queue_capacity:capacity () in
+  Alcotest.(check int) "worker count" cpus (Pool.workers pool);
+  let mu = Mutex.create () and cond = Condition.create () in
+  let release = ref false and started = ref 0 and ran = ref 0 in
+  let domains = ref [] in
+  let record () = domains := (Domain.self () :> int) :: !domains in
+  let blocker () =
+    Mutex.protect mu (fun () ->
+        record ();
+        incr started;
+        while not !release do
+          Condition.wait cond mu
+        done;
+        incr ran)
+  in
+  let job () =
+    Mutex.protect mu (fun () ->
+        record ();
+        incr ran)
+  in
+  let queued j = Pool.submit pool j = `Queued in
+  (* One blocker per worker: they all start only if every worker,
+     thread or domain, takes a job. *)
+  for i = 1 to cpus do
+    Alcotest.(check bool) (Printf.sprintf "blocker %d queued" i) true (queued blocker)
+  done;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    Mutex.protect mu (fun () -> !started < cpus) && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.001
+  done;
+  Alcotest.(check int) "every worker took a blocker" cpus
+    (Mutex.protect mu (fun () -> !started));
+  for i = 1 to capacity do
+    Alcotest.(check bool) (Printf.sprintf "fill %d" i) true (queued job)
+  done;
+  Alcotest.(check bool) "over capacity is rejected" true
+    (Pool.submit pool job = `Rejected);
+  Alcotest.(check int) "in flight counts" (cpus + capacity) (Pool.in_flight pool);
+  Mutex.protect mu (fun () ->
+      release := true;
+      Condition.broadcast cond);
+  Pool.drain pool;
+  Alcotest.(check int) "drained" 0 (Pool.in_flight pool);
+  Alcotest.(check int) "drain waited for every job" (cpus + capacity)
+    (Mutex.protect mu (fun () -> !ran));
+  for i = 1 to capacity do
+    Alcotest.(check bool) (Printf.sprintf "late job %d queued" i) true (queued job)
+  done;
+  Pool.shutdown pool;
+  Alcotest.(check int) "shutdown ran the queue, then joined" (cpus + (2 * capacity))
+    (Mutex.protect mu (fun () -> !ran));
+  Alcotest.(check int) "no worker left" 0 (Pool.workers pool);
+  Alcotest.(check bool) "submit after shutdown is stopping" true
+    (Pool.submit pool job = `Stopping);
+  let distinct = List.length (List.sort_uniq Int.compare !domains) in
+  Alcotest.(check bool)
+    (Printf.sprintf "jobs saw %d domain(s), at most %d" distinct cpus)
+    true (distinct <= cpus)
+
 (* Live server ------------------------------------------------------------ *)
 
-(* One in-process server on an ephemeral loopback port, driven over
-   real TCP sockets.  The cases of the "server" group share it and run
-   in order; the last one shuts it down.  The queue capacity of 128
-   is what the bursts below are sized against: 68 requests in flight
-   must all be accepted. *)
+(* In-process servers on ephemeral loopback ports, driven over real TCP
+   sockets.  The cases of a "server" group share one server and run in
+   order; the last one shuts it down.  The queue capacity of 128 is
+   what the bursts below are sized against: 68 (or 100) requests in
+   flight must all be accepted.  [live] has the default pool; [live_threads] has
+   one worker per CPU, so at least one worker is a systhread. *)
 module Server = Wa_service.Server
 module Client = Wa_service.Client
 
-let live =
+(* The server is created on the domain that runs it, as [serve] does:
+   worker threads then share that domain with the event loop, not with
+   the client threads of this test. *)
+let start_live workers =
   lazy
-    (let srv =
-       Server.create
-         { Server.default_config with port = 0; queue_capacity = 128 }
+    (let mu = Mutex.create () and made = Condition.create () in
+     let cell = ref None in
+     let publish v =
+       Mutex.protect mu (fun () ->
+           cell := Some v;
+           Condition.signal made)
      in
-     (srv, Domain.spawn (fun () -> Server.run srv)))
+     let dom =
+       Domain.spawn (fun () ->
+           match
+             Server.create
+               { Server.default_config with port = 0; queue_capacity = 128; workers }
+           with
+           | srv ->
+               publish (Ok srv);
+               Server.run srv
+           | exception e -> publish (Error e))
+     in
+     let made =
+       Mutex.protect mu (fun () ->
+           while Option.is_none !cell do
+             Condition.wait made mu
+           done;
+           Option.get !cell)
+     in
+     match made with Ok srv -> (srv, dom) | Error e -> raise e)
 
-let live_port () = Server.port (fst (Lazy.force live))
+let live = start_live None
+let live_threads = start_live (Some (Wa_util.Parallel.available_domains ()))
+let live_port ?(on = live) () = Server.port (fst (Lazy.force on))
 
-let connect () =
-  match Client.connect ~port:(live_port ()) () with
+let connect ?on () =
+  match Client.connect ~port:(live_port ?on ()) () with
   | Ok c -> c
   | Error m -> Alcotest.failf "connect: %s" m
 
@@ -888,16 +985,19 @@ let burst ~conns ~total ~seed0 ~meanwhile =
 
 (* The event loop ingests far faster than the pool retires cold plans,
    so queued + executing peaks at 64 or more; with a queue of 128 none
-   may be refused and every one must be answered. *)
-let test_live_burst () =
-  let conns = Array.init 4 (fun _ -> connect ()) in
+   may be refused and every one must be answered.  A worker thread
+   takes the loop's domain at each of its reads, so the loop ingests
+   at about the pool's pace and retires several plans on the way: the
+   server with thread workers gets a 100-request burst. *)
+let test_live_burst ~total on () =
+  let conns = Array.init 4 (fun _ -> connect ~on ()) in
   let answered, overloaded, bad =
-    burst ~conns ~total:68 ~seed0:1000 ~meanwhile:ignore
+    burst ~conns ~total ~seed0:1000 ~meanwhile:ignore
   in
-  Alcotest.(check int) "zero dropped" 68 answered;
+  Alcotest.(check int) "zero dropped" total answered;
   Alcotest.(check int) "zero overloaded" 0 overloaded;
   Alcotest.(check int) "zero failed" 0 bad;
-  let c = connect () in
+  let c = connect ~on () in
   let peak =
     match (call c P.Stats).P.body with
     | P.Stats_r s -> s.P.st_inflight_peak
@@ -908,8 +1008,8 @@ let test_live_burst () =
     (Printf.sprintf "in-flight peak %d >= 64" peak)
     true (peak >= 64)
 
-let test_live_traced () =
-  let c = connect () in
+let test_live_traced on () =
+  let c = connect ~on () in
   for i = 0 to 2 do
     let cold seed = P.Plan (live_spec ~no_cache:true 300 seed) in
     let untraced = call c (cold (3000 + (2 * i))) in
@@ -1011,9 +1111,9 @@ let test_live_churn () =
 (* Accepted work is never dropped: cold plans queued ahead of the
    shutdown on the same connection are all answered before the
    acknowledgement, and then the server domain joins. *)
-let test_live_shutdown () =
-  let srv, dom = Lazy.force live in
-  let c = connect () in
+let test_live_shutdown on () =
+  let srv, dom = Lazy.force on in
+  let c = connect ~on () in
   let pending = 8 in
   for i = 1 to pending do
     send c (P.Plan (live_spec ~no_cache:true 300 (7000 + i)))
@@ -1069,17 +1169,31 @@ let () =
         [
           Alcotest.test_case "runs jobs" `Quick test_pool_runs_jobs;
           Alcotest.test_case "backpressure" `Quick test_pool_backpressure;
+          Alcotest.test_case "thread workers beyond the domain budget" `Quick
+            test_pool_thread_workers;
         ] );
       ( "server",
         [
           Alcotest.test_case "ping and greeting" `Quick test_live_ping;
           Alcotest.test_case "cached beats cold" `Quick test_live_cached;
           Alcotest.test_case "pipelined 2x50" `Quick test_live_pipelined;
-          Alcotest.test_case "68-request burst" `Quick test_live_burst;
-          Alcotest.test_case "traced responses" `Quick test_live_traced;
+          Alcotest.test_case "68-request burst" `Quick
+            (test_live_burst ~total:68 live);
+          Alcotest.test_case "traced responses" `Quick (test_live_traced live);
           Alcotest.test_case "scrapes under a burst" `Quick test_live_scrapes;
           Alcotest.test_case "error envelopes" `Quick test_live_errors;
           Alcotest.test_case "churn lifecycle" `Quick test_live_churn;
-          Alcotest.test_case "graceful shutdown" `Quick test_live_shutdown;
+          Alcotest.test_case "graceful shutdown" `Quick (test_live_shutdown live);
+        ] );
+      (* At most as long as "protocol": Alcotest pads every group name to
+         the longest, and a wider column cuts the long protocol names. *)
+      ( "threads",
+        [
+          Alcotest.test_case "100-request burst" `Quick
+            (test_live_burst ~total:100 live_threads);
+          Alcotest.test_case "traced responses" `Quick
+            (test_live_traced live_threads);
+          Alcotest.test_case "graceful shutdown" `Quick
+            (test_live_shutdown live_threads);
         ] );
     ]

@@ -11,13 +11,13 @@
    passes:
 
    - [domain-capture]: for every closure reaching
-     [Wa_util.Parallel.{iter,init,map_array}], compute
-     the capture set from the Typedtree and reject writes to captured
-     refs ([:=], [incr], [decr]), mutable record fields ([<-]),
-     arrays ([Array.set], [a.(i) <- v]) and mutating container calls
-     ([Hashtbl.replace], [Buffer.add_*], ...) on free variables of
-     the closure — unsynchronized mutable state shared across worker
-     domains.  With summaries the check is transitive: a call whose
+     [Wa_util.Parallel.{iter,init,map_array}] or [Thread.create],
+     compute the capture set from the Typedtree and reject writes to
+     captured refs ([:=], [incr], [decr]), mutable record fields
+     ([<-]), arrays ([Array.set], [a.(i) <- v]) and mutating container
+     calls ([Hashtbl.replace], [Buffer.add_*], ...) on free variables
+     of the closure — unsynchronized mutable state shared across
+     worker domains or preempting threads.  With summaries the check is transitive: a call whose
      callee (through any chain) writes module-level state, or writes
      through a parameter bound to free non-[Atomic] state, is rejected
      too.  [Atomic.t] state is exempt, as are whitelisted sites
@@ -78,11 +78,12 @@
    - [event-loop-block]: functions annotated [[@wa.event_loop]] (the
      per-iteration handlers of the select loop) are certified to reach
      no blocking primitive — [Condition.wait], [Thread.delay],
-     [Domain.join], blocking [Unix] syscalls (the [select] itself is
-     exempt), [Pool.drain] (blocks via its [Condition.wait]), or
-     functions marked [[@wa.compute]] — through any non-deferred call
-     chain.  Closures handed to [Pool.submit] / [Domain.spawn] /
-     [Parallel] entries run on other domains and are exempt.
+     [Domain.join], [Thread.join], blocking [Unix] syscalls (the
+     [select] itself is exempt), [Pool.drain] (blocks via its
+     [Condition.wait]), or functions marked [[@wa.compute]] — through
+     any non-deferred call chain.  Closures handed to [Pool.submit] /
+     [Domain.spawn] / [Thread.create] / [Parallel] entries run on
+     other domains or threads and are exempt.
    - [check-then-act]: an [Atomic.get] in the scrutinee of a
      conditional followed by [Atomic.set] on the same atomic in a
      dependent branch is a lost-update window; use
@@ -797,6 +798,7 @@ let blocking_prim f =
   | Some (Some "Condition", "wait") -> Some "Condition.wait"
   | Some (Some "Thread", "delay") -> Some "Thread.delay"
   | Some (Some "Domain", "join") -> Some "Domain.join"
+  | Some (Some "Thread", "join") -> Some "Thread.join"
   | Some (Some "Unix", (("sleep" | "sleepf" | "wait" | "waitpid" | "system") as v))
     ->
       Some ("Unix." ^ v)
@@ -987,20 +989,43 @@ let wrapper_shape params body =
       | _ -> None)
   | _ -> None
 
-(* Spawn points: closures handed to these run on another domain, so
-   the creator's held locks do not apply inside and nothing inside
-   can block the creator. *)
+let is_thread_create e =
+  match fn_last2 e with Some (Some "Thread", "create") -> true | _ -> false
+
+(* Spawn points: closures handed to these run on another domain or
+   thread, so the creator's held locks do not apply inside and nothing
+   inside can block the creator. *)
 let spawn_like_fn f =
   match fn_last2 f with
   | Some (Some "Pool", "submit") | Some (Some "Domain", "spawn") -> true
-  | _ -> is_parallel_entry f
+  | _ -> is_parallel_entry f || is_thread_create f
 
-(* Analyze one closure that runs as a Parallel chunk: writes to free
-   mutable state and raises that can cross the chunk boundary, both
-   directly and — when summaries are available — through any call
-   chain. *)
-let analyze_chunk_closure ctx closure =
+(* Where a closure analyzed by [analyze_chunk_closure] runs: a
+   Parallel chunk on a worker domain, or a systhread that the other
+   threads of its domain may preempt.  Only chunks are checked for
+   exn-escape: a raise there crosses the join into the caller, while a
+   thread body's raise ends that thread alone. *)
+type closure_site = Chunk | Thread_body
+
+let site_closure = function
+  | Chunk -> "a Parallel chunk closure"
+  | Thread_body -> "a Thread.create closure"
+
+let site_sharers = function
+  | Chunk -> "worker domains"
+  | Thread_body -> "threads"
+
+(* Analyze one closure that runs as a Parallel chunk or a thread body:
+   writes to free mutable state and (chunks only) raises that can
+   cross the chunk boundary, both directly and — when summaries are
+   available — through any call chain. *)
+let analyze_chunk_closure ctx site closure =
   ctx.closures <- ctx.closures + 1;
+  let flag_exn loc msg =
+    match site with
+    | Chunk -> flag ctx loc rule_exn_escape msg
+    | Thread_body -> ()
+  in
   let bound = bound_idents closure in
   let free id = not (Hashtbl.mem bound (Ident.unique_name id)) in
   let check_write kind target loc =
@@ -1008,11 +1033,11 @@ let analyze_chunk_closure ctx closure =
     | Some (root, id) when free id && not (is_atomic_type root.exp_type) ->
         flag ctx loc rule_domain_capture
           (Printf.sprintf
-             "%s '%s' inside a Parallel chunk closure: unsynchronized \
-              mutable state shared across worker domains (use Atomic.t, \
-              preallocate disjoint slices, or merge per-domain results \
-              after the join)"
-             (describe_write kind) (Ident.name id))
+             "%s '%s' inside %s: unsynchronized mutable state shared \
+              across %s (use Atomic.t, preallocate disjoint slices, or \
+              merge per-domain results after the join)"
+             (describe_write kind) (Ident.name id) (site_closure site)
+             (site_sharers site))
     | _ -> ()
   in
   let check_call e f args caught =
@@ -1025,10 +1050,11 @@ let analyze_chunk_closure ctx closure =
             (if not (List.is_empty s.Summary.s_global_writes) then
                flag ctx e.exp_loc rule_domain_capture
                  (Printf.sprintf
-                    "call to %s inside a Parallel chunk closure writes \
-                     shared state (%s): unsynchronized across worker domains"
-                    (short_fq callee)
-                    (String.concat "; " s.Summary.s_global_writes)));
+                    "call to %s inside %s writes shared state (%s): \
+                     unsynchronized across %s"
+                    (short_fq callee) (site_closure site)
+                    (String.concat "; " s.Summary.s_global_writes)
+                    (site_sharers site)));
             (let positional = positional_args args in
              List.iter
                (fun j ->
@@ -1039,10 +1065,11 @@ let analyze_chunk_closure ctx closure =
                        when free id && not (is_atomic_type root.exp_type) ->
                          flag ctx e.exp_loc rule_domain_capture
                            (Printf.sprintf
-                              "call to %s inside a Parallel chunk closure \
-                               writes through its argument '%s', captured \
-                               mutable state shared across worker domains"
-                              (short_fq callee) (Ident.name id))
+                              "call to %s inside %s writes through its \
+                               argument '%s', captured mutable state \
+                               shared across %s"
+                              (short_fq callee) (site_closure site)
+                              (Ident.name id) (site_sharers site))
                      | _ -> ())
                  | None -> ())
                s.Summary.s_param_writes);
@@ -1054,7 +1081,7 @@ let analyze_chunk_closure ctx closure =
                   s.Summary.s_raises
             in
             if not (Summary.SSet.is_empty escaping) then
-              flag ctx e.exp_loc rule_exn_escape
+              flag_exn e.exp_loc
                 (Printf.sprintf
                    "call to %s may raise %s, which would cross the Parallel \
                     chunk boundary: no matching handler inside the closure"
@@ -1077,7 +1104,7 @@ let analyze_chunk_closure ctx closure =
             check_write `Container first e.exp_loc
         | Some (None, v), _ when List.mem v raise_like && List.is_empty caught
           ->
-            flag ctx e.exp_loc rule_exn_escape
+            flag_exn e.exp_loc
               (Printf.sprintf
                  "'%s' can cross the Parallel chunk boundary: no enclosing \
                   try inside the closure (handle it locally or return an \
@@ -1085,7 +1112,7 @@ let analyze_chunk_closure ctx closure =
                  v)
         | _ -> check_call e f args caught)
     | Texp_assert _ when List.is_empty caught ->
-        flag ctx e.exp_loc rule_exn_escape
+        flag_exn e.exp_loc
           "assert failure would cross the Parallel chunk boundary: no \
            enclosing try inside the closure"
     | _ -> ());
@@ -1108,8 +1135,9 @@ let analyze_chunk_closure ctx closure =
   in
   go ~caught:[] closure
 
-(* Find Parallel fan-out applications and analyze their function
-   arguments, resolving let-bound closures by identifier. *)
+(* Find Parallel fan-out and [Thread.create] applications and analyze
+   their function arguments, resolving let-bound closures by
+   identifier. *)
 let scan_parallel ctx fns e0 =
   let resolve a =
     match a.exp_desc with
@@ -1123,13 +1151,14 @@ let scan_parallel ctx fns e0 =
   let rec go e =
     with_allows ctx e.exp_attributes @@ fun () ->
     (match e.exp_desc with
-    | Texp_apply (f, args) when is_parallel_entry f ->
+    | Texp_apply (f, args) when is_parallel_entry f || is_thread_create f ->
+        let site = if is_thread_create f then Thread_body else Chunk in
         List.iter
           (fun (_, a) ->
             match a with
             | Some a when is_arrow_type a.exp_type -> (
                 match resolve a with
-                | Some closure -> analyze_chunk_closure ctx closure
+                | Some closure -> analyze_chunk_closure ctx site closure
                 | None -> ())
             | _ -> ())
           args

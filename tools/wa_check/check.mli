@@ -50,9 +50,10 @@
       must be acyclic; each edge of a cycle is reported with both
       conflicting chains;
     - [event-loop-block] — from [[@wa.event_loop]] roots, no blocking
-      primitive ([Condition.wait], [Thread.delay], blocking [Unix]
-      syscalls, [[@wa.compute]] bodies) may be transitively reachable
-      outside closures deferred to the pool; the blocking chain is
+      primitive ([Condition.wait], [Thread.delay], [Domain.join],
+      [Thread.join], blocking [Unix] syscalls, [[@wa.compute]] bodies)
+      may be transitively reachable outside closures deferred to a
+      spawn point; the blocking chain is
       printed (soundness caveats in DESIGN.md §15);
     - [check-then-act] — [Atomic.set] guarded by a branch on
       [Atomic.get] of the same atom is a race window; use

@@ -53,9 +53,10 @@ let bound_positive = function
    constructors an enclosing [try] around the call would catch ("*"
    for a catch-all pattern), the mutex names held when the call is
    made, and whether the call happens inside a closure handed to a
-   spawn point ([Pool.submit] / [Domain.spawn] / the [Parallel]
-   entries) — deferred calls run on another domain, so the caller's
-   held locks do not apply and the call cannot block the caller. *)
+   spawn point ([Pool.submit] / [Domain.spawn] / [Thread.create] / the
+   [Parallel] entries) — deferred calls run on another domain or
+   thread, so the caller's held locks do not apply and the call cannot
+   block the caller. *)
 type call = {
   c_callee : string;
   c_args : (int * int) list;  (* callee arg position -> caller param index *)

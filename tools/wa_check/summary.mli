@@ -30,9 +30,9 @@ type call = {
           [Mutex.protect] / lock wrappers / lock–unlock sequences. *)
   c_deferred : bool;
       (** The call happens inside a closure handed to [Pool.submit] /
-          [Domain.spawn] / a [Parallel] entry: it runs on another
-          domain, so it neither blocks the caller nor inherits its
-          locks. *)
+          [Domain.spawn] / [Thread.create] / a [Parallel] entry: it
+          runs on another domain or thread, so it neither blocks the
+          caller nor inherits its locks. *)
 }
 
 type fn_fact = {
